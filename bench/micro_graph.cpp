@@ -68,15 +68,16 @@ void BM_CachedOracleQueryWarm(benchmark::State& state) {
 }
 BENCHMARK(BM_CachedOracleQueryWarm);
 
-void BM_BoundedDijkstraSmallBall(benchmark::State& state) {
+void BM_BallSearchSmallBall(benchmark::State& state) {
   const Graph graph = make_grid(32, 32);
+  BallSearch search(graph);
   Rng rng(7);
   for (auto _ : state) {
     const auto center = static_cast<NodeId>(rng.below(1024));
-    benchmark::DoNotOptimize(dijkstra_bounded(graph, center, 4.0));
+    benchmark::DoNotOptimize(search.run(center, 4.0).size());
   }
 }
-BENCHMARK(BM_BoundedDijkstraSmallBall);
+BENCHMARK(BM_BallSearchSmallBall);
 
 }  // namespace
 }  // namespace mot

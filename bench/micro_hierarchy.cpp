@@ -25,7 +25,18 @@ void BM_DoublingHierarchyBuild(benchmark::State& state) {
   }
   state.SetComplexityN(static_cast<std::int64_t>(side * side));
 }
-BENCHMARK(BM_DoublingHierarchyBuild)->Arg(8)->Arg(16)->Arg(24)->Complexity();
+// Sides 8 .. 256 (64 .. 65,536 nodes): the Complexity() fit spans the
+// sizes the benchmarks and the scale curve run at.
+BENCHMARK(BM_DoublingHierarchyBuild)
+    ->Arg(8)
+    ->Arg(16)
+    ->Arg(24)
+    ->Arg(32)
+    ->Arg(64)
+    ->Arg(128)
+    ->Arg(256)
+    ->Unit(benchmark::kMillisecond)
+    ->Complexity();
 
 void BM_SparseCoverBuild(benchmark::State& state) {
   const auto side = static_cast<std::size_t>(state.range(0));

@@ -60,6 +60,24 @@ diff "${SMOKE_DIR}/fig04_t1.csv" "${SMOKE_DIR}/fig04_t4.csv" \
   || { echo "fig04 output differs between 1 and 4 threads"; exit 1; }
 echo "parallel smoke ok: fig04 CSV byte-identical at 1 and 4 threads"
 
+echo "== scale guard: 65,536-node hierarchy build under 10 s =="
+# One build of the 256x256 grid hierarchy. Built from bounded balls it
+# takes 0.3-0.8 s on a 4-vCPU Xeon VM; a build that pays O(n) per member
+# took about 17-20 s there, so the 10 s bound catches a return to
+# quadratic cost without flaking on a slow spell of the host.
+./build/bench/tbl_maint_scaling --threads 1 --sizes 65536 --seeds 1 \
+  --objects 1 --moves 1 --log-level error \
+  --emit-json "${SMOKE_DIR}/scale.json" > /dev/null
+python3 - "${SMOKE_DIR}/scale.json" <<'PYEOF'
+import json, sys
+phases = {p["name"]: p for p in json.load(open(sys.argv[1]))["phases"]}
+build = phases["hierarchy_build"]
+assert build["count"] == 1, build
+print(f"hierarchy_build at 65,536 nodes: {build['seconds']:.3f} s (bound 10 s)")
+if build["seconds"] > 10.0:
+    sys.exit("scale guard failed: the hierarchy build is no longer near-linear")
+PYEOF
+
 echo "== throughput: batched >= unbatched + worker-count byte-identity =="
 # Short sustained run; the bench exits nonzero if the batched engine is
 # slower than the unbatched baseline, if batching changes any locate

@@ -136,21 +136,19 @@ namespace {
 // Greedy cover of B(center, radius) by radius/2 balls; the greedy cover
 // size upper-bounds the optimal one, so it never over-reports dimension
 // by more than the greedy factor.
-std::size_t half_ball_cover_size(const Graph& graph, NodeId center,
+std::size_t half_ball_cover_size(BallSearch& search, NodeId center,
                                  Weight radius) {
-  const ShortestPathTree ball = dijkstra_bounded(graph, center, radius);
-  std::vector<NodeId> members;
-  for (NodeId v = 0; v < graph.num_nodes(); ++v) {
-    if (ball.distance[v] != kInfiniteDistance) members.push_back(v);
-  }
-  std::vector<bool> covered(graph.num_nodes(), false);
+  const auto ball = search.run(center, radius);
+  std::vector<NodeId> members(ball.begin(), ball.end());
+  std::sort(members.begin(), members.end());
+  std::vector<bool> covered(members.size(), false);  // by members index
   std::size_t cover_size = 0;
-  for (const NodeId v : members) {
-    if (covered[v]) continue;
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    if (covered[i]) continue;
     ++cover_size;
-    const ShortestPathTree half = dijkstra_bounded(graph, v, radius / 2.0);
-    for (const NodeId w : members) {
-      if (half.distance[w] != kInfiniteDistance) covered[w] = true;
+    for (const NodeId w : search.run(members[i], radius / 2.0)) {
+      const auto it = std::lower_bound(members.begin(), members.end(), w);
+      if (it != members.end() && *it == w) covered[it - members.begin()] = true;
     }
   }
   return cover_size;
@@ -176,12 +174,13 @@ double estimate_doubling_dimension(const Graph& graph, Rng& rng,
     centers.push_back(static_cast<NodeId>(rng.below(graph.num_nodes())));
   }
 
+  BallSearch search(graph);
   std::size_t worst_cover = 1;
   for (const NodeId center : centers) {
     for (Weight radius = 1.0; radius <= std::max(1.0, diameter);
          radius *= 2.0) {
       worst_cover =
-          std::max(worst_cover, half_ball_cover_size(graph, center, radius));
+          std::max(worst_cover, half_ball_cover_size(search, center, radius));
     }
   }
   return std::log2(static_cast<double>(worst_cover));

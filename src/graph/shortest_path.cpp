@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <functional>
 #include <queue>
 
 #include "par/thread_pool.hpp"
@@ -32,8 +33,9 @@ struct QueueEntry {
   }
 };
 
-ShortestPathTree run_dijkstra(const Graph& graph, NodeId source,
-                              Weight radius) {
+}  // namespace
+
+ShortestPathTree dijkstra(const Graph& graph, NodeId source) {
   MOT_EXPECTS(source < graph.num_nodes());
   ShortestPathTree tree;
   tree.source = source;
@@ -51,7 +53,6 @@ ShortestPathTree run_dijkstra(const Graph& graph, NodeId source,
     if (dist > tree.distance[node]) continue;  // stale entry
     for (const Edge& e : graph.neighbors(node)) {
       const Weight candidate = dist + e.weight;
-      if (candidate > radius) continue;
       if (candidate < tree.distance[e.to]) {
         tree.distance[e.to] = candidate;
         tree.parent[e.to] = node;
@@ -62,16 +63,65 @@ ShortestPathTree run_dijkstra(const Graph& graph, NodeId source,
   return tree;
 }
 
-}  // namespace
+BallSearch::BallSearch(const Graph& graph)
+    : graph_(&graph),
+      unit_weights_(has_unit_weights(graph)),
+      distance_(graph.num_nodes(), kInfiniteDistance) {}
 
-ShortestPathTree dijkstra(const Graph& graph, NodeId source) {
-  return run_dijkstra(graph, source, kInfiniteDistance);
-}
-
-ShortestPathTree dijkstra_bounded(const Graph& graph, NodeId source,
-                                  Weight radius) {
+std::span<const NodeId> BallSearch::run(std::span<const NodeId> sources,
+                                        Weight radius) {
   MOT_EXPECTS(radius >= 0.0);
-  return run_dijkstra(graph, source, radius);
+  for (const NodeId v : ball_) distance_[v] = kInfiniteDistance;
+  ball_.clear();
+  for (const NodeId s : sources) {
+    MOT_EXPECTS(s < graph_->num_nodes());
+    if (distance_[s] == 0.0) continue;  // repeated source
+    distance_[s] = 0.0;
+    ball_.push_back(s);
+  }
+
+  if (unit_weights_) {
+    // FIFO: the ball list doubles as the queue, in settle order.
+    for (std::size_t head = 0; head < ball_.size(); ++head) {
+      const NodeId node = ball_[head];
+      const Weight candidate = distance_[node] + 1.0;
+      if (candidate > radius) break;  // the queue is distance-ordered
+      for (const Edge& e : graph_->neighbors(node)) {
+        if (distance_[e.to] == kInfiniteDistance) {
+          distance_[e.to] = candidate;
+          ball_.push_back(e.to);
+        }
+      }
+    }
+    return ball_;
+  }
+
+  // Binary heap, seeded with the sources; the ball list is refilled in
+  // settle order. Every touched node lies within radius and is popped
+  // once at its final distance, so the settled list is also the touched
+  // list the next run resets.
+  const auto later = std::greater<std::pair<Weight, NodeId>>();
+  heap_.clear();
+  for (const NodeId s : ball_) heap_.emplace_back(0.0, s);
+  ball_.clear();
+  std::make_heap(heap_.begin(), heap_.end(), later);
+  while (!heap_.empty()) {
+    std::pop_heap(heap_.begin(), heap_.end(), later);
+    const auto [dist, node] = heap_.back();
+    heap_.pop_back();
+    if (dist > distance_[node]) continue;  // stale entry
+    ball_.push_back(node);
+    for (const Edge& e : graph_->neighbors(node)) {
+      const Weight candidate = dist + e.weight;
+      if (candidate > radius) continue;
+      if (candidate < distance_[e.to]) {
+        distance_[e.to] = candidate;
+        heap_.emplace_back(candidate, e.to);
+        std::push_heap(heap_.begin(), heap_.end(), later);
+      }
+    }
+  }
+  return ball_;
 }
 
 ShortestPathTree bfs_unit(const Graph& graph, NodeId source) {

@@ -3,6 +3,8 @@
 // reduces to distances computed here.
 #pragma once
 
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -22,11 +24,38 @@ struct ShortestPathTree {
 // Full Dijkstra from `source`.
 ShortestPathTree dijkstra(const Graph& graph, NodeId source);
 
-// Dijkstra truncated at `radius`: nodes farther than radius keep
-// kInfiniteDistance. Used for cluster construction, where only a bounded
-// neighborhood matters. Cost is proportional to the ball size, not n.
-ShortestPathTree dijkstra_bounded(const Graph& graph, NodeId source,
-                                  Weight radius);
+// Reusable bounded ball search, for the builders that run one search
+// per member (hierarchy levels, clusters, covers). The n-sized distance
+// array persists across runs and a run resets only the nodes the last
+// ball touched, so a run costs its ball and the ball's edges; only the
+// constructor pays O(n + m). Unit-weight graphs search with a FIFO
+// queue, others with a binary heap (chosen once, by has_unit_weights());
+// in the ball, distances equal dijkstra()'s either way. One search
+// object per thread.
+class BallSearch {
+ public:
+  explicit BallSearch(const Graph& graph);
+
+  // Settles B(sources, radius) = {v : min_s dist(s, v) <= radius} and
+  // returns its nodes in settle order (unsorted). The span and the
+  // distances stay valid until the next run.
+  std::span<const NodeId> run(std::span<const NodeId> sources,
+                              Weight radius);
+  std::span<const NodeId> run(NodeId source, Weight radius) {
+    return run(std::span<const NodeId>(&source, 1), radius);
+  }
+
+  // Distance from the nearest source in the last run; kInfiniteDistance
+  // for nodes outside the ball.
+  Weight distance(NodeId v) const { return distance_[v]; }
+
+ private:
+  const Graph* graph_;
+  bool unit_weights_;
+  std::vector<Weight> distance_;  // +inf outside the last ball
+  std::vector<NodeId> ball_;      // settled (= touched) nodes; BFS queue
+  std::vector<std::pair<Weight, NodeId>> heap_;
+};
 
 // BFS distances for graphs whose edges all weigh exactly 1 (grids, rings).
 // Falls back on a contract failure if the graph is weighted.

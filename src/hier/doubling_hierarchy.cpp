@@ -46,21 +46,27 @@ std::unique_ptr<DoublingHierarchy> DoublingHierarchy::build(
   index_members(bottom);
   hierarchy->levels_.push_back(std::move(bottom));
 
+  // Every pass below walks only bounded balls, mapping ball nodes to
+  // level members through the dense slot index, so a level costs
+  // sum(|ball|) rather than |level| * n.
+  BallSearch search(graph);
+
   // Refine: V_{l+1} = MIS of (V_l, {(u,v) : dist_G(u,v) < 2^{l+1}}).
   for (int level = 0; hierarchy->levels_[level].member_list.size() > 1;
        ++level) {
     MOT_CHECK(level < kMaxLevels);
-    const auto& current = hierarchy->levels_[level].member_list;
+    const Level& current = hierarchy->levels_[level];
     const Weight radius = std::ldexp(1.0, level + 1);  // 2^{l+1}
 
     MisInstance instance;
-    instance.vertices = current;
-    instance.neighbors.resize(current.size());
-    for (std::uint32_t i = 0; i < current.size(); ++i) {
-      const ShortestPathTree ball =
-          dijkstra_bounded(graph, current[i], radius);
-      for (std::uint32_t j = 0; j < current.size(); ++j) {
-        if (j != i && ball.distance[current[j]] < radius) {
+    instance.vertices = current.member_list;
+    instance.neighbors.resize(current.member_list.size());
+    // Neighbour lists come out in ball order; luby_mis treats each as a
+    // set, so the MIS does not depend on it.
+    for (std::uint32_t i = 0; i < current.member_list.size(); ++i) {
+      for (const NodeId v : search.run(current.member_list[i], radius)) {
+        const std::uint32_t j = current.slot[v];
+        if (j != kNoSlot && j != i && search.distance(v) < radius) {
           instance.neighbors[i].push_back(j);
         }
       }
@@ -91,10 +97,11 @@ std::unique_ptr<DoublingHierarchy> DoublingHierarchy::build(
     std::vector<std::pair<Weight, NodeId>> best(
         lower_count, {kInfiniteDistance, kInvalidNode});
     for (const NodeId parent : upper.member_list) {
-      const ShortestPathTree ball = dijkstra_bounded(graph, parent, radius);
-      for (std::uint32_t s = 0; s < lower_count; ++s) {
-        const Weight d = ball.distance[lower.member_list[s]];
-        if (d > radius) continue;  // unreachable entries are +inf
+      for (const NodeId v : search.run(parent, radius)) {
+        const std::uint32_t s = lower.slot[v];
+        if (s == kNoSlot) continue;
+        const Weight d = search.distance(v);
+        if (d > radius) continue;
         sets[s].push_back(parent);
         if (d < best[s].first ||
             (d == best[s].first && parent < best[s].second)) {
@@ -311,11 +318,12 @@ std::span<const NodeId> DoublingHierarchy::cluster(int level,
   cached = slot.load(std::memory_order_relaxed);  // lost the race?
   if (cached == nullptr) {
     const Weight radius = std::ldexp(1.0, level);  // 2^level
-    const ShortestPathTree ball = dijkstra_bounded(*graph_, center, radius);
-    std::vector<NodeId> members;
-    for (NodeId v = 0; v < graph_->num_nodes(); ++v) {
-      if (ball.distance[v] <= radius) members.push_back(v);
+    if (cluster_search_ == nullptr) {
+      cluster_search_ = std::make_unique<BallSearch>(*graph_);
     }
+    const auto ball = cluster_search_->run(center, radius);
+    std::vector<NodeId> members(ball.begin(), ball.end());
+    std::sort(members.begin(), members.end());
     cluster_owned_.push_back(
         std::make_unique<const std::vector<NodeId>>(std::move(members)));
     cached = cluster_owned_.back().get();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
 
 #include "graph/shortest_path.hpp"
 #include "util/check.hpp"
@@ -23,38 +22,6 @@ std::size_t SparseCover::max_overlap() const {
   return worst;
 }
 
-namespace {
-
-// Multi-source Dijkstra bounded by `radius`: distances from the nearest
-// node of `sources`.
-std::vector<Weight> ball_of_set(const Graph& graph,
-                                const std::vector<NodeId>& sources,
-                                Weight radius) {
-  std::vector<Weight> dist(graph.num_nodes(), kInfiniteDistance);
-  using Entry = std::pair<Weight, NodeId>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> queue;
-  for (const NodeId s : sources) {
-    dist[s] = 0.0;
-    queue.push({0.0, s});
-  }
-  while (!queue.empty()) {
-    const auto [d, node] = queue.top();
-    queue.pop();
-    if (d > dist[node]) continue;
-    for (const Edge& e : graph.neighbors(node)) {
-      const Weight candidate = d + e.weight;
-      if (candidate > radius) continue;
-      if (candidate < dist[e.to]) {
-        dist[e.to] = candidate;
-        queue.push({candidate, e.to});
-      }
-    }
-  }
-  return dist;
-}
-
-}  // namespace
-
 SparseCover build_sparse_cover(const Graph& graph, Weight radius,
                                double growth_threshold) {
   MOT_EXPECTS(graph.num_nodes() >= 1);
@@ -70,6 +37,7 @@ SparseCover build_sparse_cover(const Graph& graph, Weight radius,
   // order for determinism.
   std::vector<bool> uncovered(n, true);
   std::size_t remaining = n;
+  BallSearch search(graph);
 
   for (NodeId seed = 0; remaining > 0; ++seed) {
     MOT_CHECK(seed < n);
@@ -80,11 +48,9 @@ SparseCover build_sparse_cover(const Graph& graph, Weight radius,
     std::vector<NodeId> core{seed};
     std::vector<NodeId> ball_members;
     while (true) {
-      const std::vector<Weight> dist = ball_of_set(graph, core, radius);
-      ball_members.clear();
-      for (NodeId v = 0; v < n; ++v) {
-        if (dist[v] <= radius) ball_members.push_back(v);
-      }
+      const auto ball = search.run(core, radius);
+      ball_members.assign(ball.begin(), ball.end());
+      std::sort(ball_members.begin(), ball_members.end());
       if (static_cast<double>(ball_members.size()) >
           growth_threshold * static_cast<double>(core.size())) {
         core = ball_members;
@@ -120,26 +86,19 @@ SparseCover build_sparse_cover(const Graph& graph, Weight radius,
 }
 
 bool covers_all_balls(const Graph& graph, const SparseCover& cover) {
-  const std::size_t n = graph.num_nodes();
-  for (NodeId v = 0; v < n; ++v) {
-    const ShortestPathTree ball =
-        dijkstra_bounded(graph, v, cover.cover_radius);
-    bool found = false;
-    for (const std::uint32_t label : cover.clusters_of[v]) {
+  BallSearch search(graph);
+  for (NodeId v = 0; v < graph.num_nodes(); ++v) {
+    const auto ball = search.run(v, cover.cover_radius);
+    const auto contains_ball = [&](std::uint32_t label) {
       const auto& members = cover.clusters[label].members;
-      bool contains_ball = true;
-      for (NodeId w = 0; w < n && contains_ball; ++w) {
-        if (ball.distance[w] <= cover.cover_radius &&
-            !std::binary_search(members.begin(), members.end(), w)) {
-          contains_ball = false;
-        }
-      }
-      if (contains_ball) {
-        found = true;
-        break;
-      }
+      return std::all_of(ball.begin(), ball.end(), [&](NodeId w) {
+        return std::binary_search(members.begin(), members.end(), w);
+      });
+    };
+    if (std::none_of(cover.clusters_of[v].begin(), cover.clusters_of[v].end(),
+                     contains_ball)) {
+      return false;
     }
-    if (!found) return false;
   }
   return true;
 }

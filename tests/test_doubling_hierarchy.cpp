@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <functional>
 #include <set>
 
 #include "graph/generators.hpp"
@@ -17,12 +19,14 @@ struct Built {
   std::unique_ptr<DoublingHierarchy> hierarchy;
 };
 
-Built build(Graph graph, std::uint64_t seed = 1) {
+Built build(Graph graph, std::uint64_t seed = 1,
+            double parent_radius_factor = 4.0) {
   Built built;
   built.graph = std::move(graph);
   built.oracle = make_distance_oracle(built.graph);
   DoublingHierarchy::Params params;
   params.seed = seed;
+  params.parent_radius_factor = parent_radius_factor;
   built.hierarchy =
       DoublingHierarchy::build(built.graph, *built.oracle, params);
   return built;
@@ -259,6 +263,132 @@ TEST(DoublingHierarchy, DetectionPathCoversAllLevels) {
   for (const auto& stop : path) levels.insert(stop.level);
   EXPECT_EQ(static_cast<int>(levels.size()), b.hierarchy->height());
   EXPECT_EQ(path.back().node, b.hierarchy->root());
+}
+
+// FNV-1a over 64-bit words, byte by byte (little-endian order).
+struct Fnv {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  void add(std::uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (value >> (8 * byte)) & 0xffu;
+      hash *= 1099511628211ull;
+    }
+  }
+  template <typename T>
+  void add_all(const std::vector<T>& values) {
+    add(values.size());
+    for (const T v : values) add(static_cast<std::uint64_t>(v));
+  }
+};
+
+std::uint64_t state_digest(const DoublingHierarchy& hierarchy) {
+  const DoublingHierarchy::State state = hierarchy.export_state();
+  Fnv fnv;
+  fnv.add(state.num_nodes);
+  fnv.add(state.total_mis_rounds);
+  fnv.add(state.levels.size());
+  for (const auto& level : state.levels) {
+    fnv.add_all(level.member_list);
+    fnv.add_all(level.parent_offsets);
+    fnv.add_all(level.parent_data);
+    fnv.add_all(level.default_parents);
+  }
+  return fnv.hash;
+}
+
+// Golden digests of export_state() across a zoo of topologies. The
+// values pin the built overlay byte for byte (members, MIS rounds,
+// parent CSR, default parents): a construction change that alters any
+// of them, on any graph here, fails this test.
+TEST(DoublingHierarchy, GoldenStateDigests) {
+  struct Case {
+    const char* name;
+    std::function<Graph()> make;
+    std::uint64_t seed;
+    double parent_radius_factor;
+    std::uint64_t digest;
+  };
+  const std::vector<Case> cases = {
+      {"grid32", [] { return make_grid(32, 32); }, 1, 4.0,
+       0x7e71c23115eac8f1ull},
+      {"grid64", [] { return make_grid(64, 64); }, 2, 4.0,
+       0x49d44c155bf6170cull},
+      {"grid128", [] { return make_grid(128, 128); }, 3, 4.0,
+       0xe073c3122e841224ull},
+      {"grid64_factor2", [] { return make_grid(64, 64); }, 4, 2.0,
+       0x466c30e340a3b733ull},
+      {"torus48", [] { return make_torus(48, 48); }, 5, 4.0,
+       0xc5a672db511a91c7ull},
+      {"grid8_40", [] { return make_grid8(40, 40); }, 6, 4.0,
+       0x94324ddd2dc0ec18ull},
+      {"geometric800",
+       [] {
+         Rng rng(71);
+         return make_random_geometric(800, 28.0, 2.0, rng, 64, 0.5);
+       },
+       7, 4.0, 0xfb8e2d369d7df10aull},
+      {"connected_random600",
+       [] {
+         Rng rng(73);
+         return make_connected_random(600, 4.0, 6.0, rng);
+       },
+       8, 4.0, 0x1c517d62a839afdcull},
+      {"random_tree500",
+       [] {
+         Rng rng(79);
+         return make_random_tree(500, rng);
+       },
+       9, 4.0, 0x665a383d0b3c9b11ull},
+      {"ring200", [] { return make_ring(200); }, 10, 4.0,
+       0x096b764d770dfc72ull},
+      {"star100", [] { return make_star(100); }, 11, 4.0,
+       0xead20913f3f2211aull},
+      {"single", [] { return GraphBuilder(1).build(); }, 12, 4.0,
+       0x5573febbdc252544ull},
+  };
+  for (const Case& c : cases) {
+    const Built b = build(c.make(), c.seed, c.parent_radius_factor);
+    const std::uint64_t digest = state_digest(*b.hierarchy);
+    char hex[32];
+    std::snprintf(hex, sizeof hex, "0x%016llx",
+                  static_cast<unsigned long long>(digest));
+    EXPECT_EQ(digest, c.digest) << c.name << " digest " << hex;
+  }
+}
+
+// cluster() balls, folded in (level, center) order over every member of
+// every level: pins the member lists, which must stay sorted by ID.
+TEST(DoublingHierarchy, GoldenClusterDigests) {
+  struct Case {
+    const char* name;
+    std::function<Graph()> make;
+    std::uint64_t seed;
+    std::uint64_t digest;
+  };
+  const std::vector<Case> cases = {
+      {"grid32", [] { return make_grid(32, 32); }, 1, 0xa4be6017ec243837ull},
+      {"geometric800",
+       [] {
+         Rng rng(71);
+         return make_random_geometric(800, 28.0, 2.0, rng, 64, 0.5);
+       },
+       7, 0x20616c12fe181196ull},
+  };
+  for (const Case& c : cases) {
+    const Built b = build(c.make(), c.seed);
+    Fnv fnv;
+    for (int level = 0; level <= b.hierarchy->height(); ++level) {
+      for (const NodeId center : b.hierarchy->members(level)) {
+        const auto cluster = b.hierarchy->cluster(level, center);
+        fnv.add(cluster.size());
+        for (const NodeId v : cluster) fnv.add(v);
+      }
+    }
+    char hex[32];
+    std::snprintf(hex, sizeof hex, "0x%016llx",
+                  static_cast<unsigned long long>(fnv.hash));
+    EXPECT_EQ(fnv.hash, c.digest) << c.name << " digest " << hex;
+  }
 }
 
 }  // namespace

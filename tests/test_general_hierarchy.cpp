@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdio>
 
 #include "graph/generators.hpp"
 
@@ -113,6 +115,67 @@ TEST(GeneralHierarchy, AverageOverlapLogarithmic) {
   for (int level = 1; level <= b.hierarchy->height(); ++level) {
     EXPECT_LE(b.hierarchy->average_overlap(level), 14.0)
         << "level " << level;
+  }
+}
+
+// FNV-1a over every cover (radius, clusters with leader, radius and
+// members, per-node cluster labels), level members and per-node groups:
+// pins the general overlay byte for byte.
+std::uint64_t hierarchy_digest(const GeneralHierarchy& hierarchy,
+                               std::size_t num_nodes) {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  auto add = [&hash](std::uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (value >> (8 * byte)) & 0xffu;
+      hash *= 1099511628211ull;
+    }
+  };
+  add(static_cast<std::uint64_t>(hierarchy.height()));
+  for (int level = 1; level <= hierarchy.height(); ++level) {
+    const SparseCover& cover = hierarchy.cover(level);
+    add(std::bit_cast<std::uint64_t>(cover.cover_radius));
+    add(cover.clusters.size());
+    for (const Cluster& cluster : cover.clusters) {
+      add(cluster.leader);
+      add(std::bit_cast<std::uint64_t>(cluster.radius));
+      add(cluster.members.size());
+      for (const NodeId v : cluster.members) add(v);
+    }
+    for (const auto& labels : cover.clusters_of) {
+      add(labels.size());
+      for (const std::uint32_t label : labels) add(label);
+    }
+    const auto members = hierarchy.members(level);
+    add(members.size());
+    for (const NodeId v : members) add(v);
+    for (NodeId u = 0; u < num_nodes; ++u) {
+      const auto group = hierarchy.group(u, level);
+      add(group.size());
+      for (const NodeId v : group) add(v);
+    }
+  }
+  return hash;
+}
+
+TEST(GeneralHierarchy, GoldenDigests) {
+  const std::vector<std::pair<Graph, std::uint64_t>> cases = [] {
+    std::vector<std::pair<Graph, std::uint64_t>> out;
+    out.emplace_back(make_grid(24, 24), 0x09be2c58a9219169ull);
+    out.emplace_back(make_lollipop(8, 24), 0xfbc048143add3d7aull);
+    Rng rng(83);
+    out.emplace_back(make_random_geometric(200, 14.0, 2.0, rng, 64, 0.5),
+                     0xef3807f6de4ff8b4ull);
+    return out;
+  }();
+  for (const auto& [graph, expected] : cases) {
+    const auto oracle = make_distance_oracle(graph);
+    const auto hierarchy = GeneralHierarchy::build(graph, *oracle, {});
+    const std::uint64_t digest =
+        hierarchy_digest(*hierarchy, graph.num_nodes());
+    char hex[32];
+    std::snprintf(hex, sizeof hex, "0x%016llx",
+                  static_cast<unsigned long long>(digest));
+    EXPECT_EQ(digest, expected) << graph.num_nodes() << " nodes, " << hex;
   }
 }
 

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "graph/generators.hpp"
+#include "util/rng.hpp"
 
 namespace mot {
 namespace {
@@ -42,11 +45,69 @@ TEST(Dijkstra, UnreachableIsInfinite) {
   EXPECT_TRUE(tree.path_to(2).empty());
 }
 
-TEST(DijkstraBounded, RespectsRadius) {
+TEST(BallSearch, RespectsRadius) {
   const Graph g = make_path(10);
-  const ShortestPathTree tree = dijkstra_bounded(g, 0, 3.0);
-  EXPECT_DOUBLE_EQ(tree.distance[3], 3.0);
-  EXPECT_EQ(tree.distance[4], kInfiniteDistance);
+  BallSearch search(g);
+  search.run(0, 3.0);
+  EXPECT_DOUBLE_EQ(search.distance(3), 3.0);
+  EXPECT_EQ(search.distance(4), kInfiniteDistance);
+}
+
+// One search object reused across sources and radii must give, every
+// time, exactly the ball of a fresh full Dijkstra cut at the radius: same
+// node set, same distances, +inf everywhere else. A run that fails to
+// reset the previous ball's entries leaks stale distances and fails here.
+void expect_balls_match_dijkstra(const Graph& g,
+                                 const std::vector<NodeId>& sources,
+                                 const std::vector<Weight>& radii) {
+  BallSearch search(g);
+  for (const Weight radius : radii) {
+    for (const NodeId source : sources) {
+      const auto ball = search.run(source, radius);
+      std::vector<NodeId> got(ball.begin(), ball.end());
+      std::sort(got.begin(), got.end());
+      const ShortestPathTree full = dijkstra(g, source);
+      std::vector<NodeId> want;
+      for (NodeId v = 0; v < g.num_nodes(); ++v) {
+        if (full.distance[v] <= radius) {
+          want.push_back(v);
+          EXPECT_EQ(search.distance(v), full.distance[v])
+              << "source " << source << " radius " << radius << " node " << v;
+        } else {
+          EXPECT_EQ(search.distance(v), kInfiniteDistance)
+              << "source " << source << " radius " << radius << " node " << v;
+        }
+      }
+      EXPECT_EQ(got, want) << "source " << source << " radius " << radius;
+    }
+  }
+}
+
+TEST(BallSearch, ReusedSearchMatchesFreshDijkstraOnGrid) {
+  const Graph g = make_grid(20, 20);
+  expect_balls_match_dijkstra(g, {0, 210, 399, 19, 210},
+                              {0.0, 1.0, 3.0, 8.0, 2.0, 40.0});
+}
+
+TEST(BallSearch, ReusedSearchMatchesFreshDijkstraOnWeightedGeometric) {
+  Rng rng(17);
+  const Graph g = make_random_geometric(300, 17.0, 2.0, rng, 64, 0.5);
+  ASSERT_FALSE(has_unit_weights(g));
+  expect_balls_match_dijkstra(g, {0, 150, 299, 7, 150},
+                              {0.0, 1.0, 2.5, 6.0, 1.5, 100.0});
+}
+
+TEST(BallSearch, MultiSourceBallIsDistanceToNearestSource) {
+  const Graph g = make_path(10);
+  BallSearch search(g);
+  const std::vector<NodeId> sources = {2, 7, 7};
+  const auto ball = search.run(sources, 1.0);
+  std::vector<NodeId> got(ball.begin(), ball.end());
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, (std::vector<NodeId>{1, 2, 3, 6, 7, 8}));
+  EXPECT_DOUBLE_EQ(search.distance(7), 0.0);
+  EXPECT_DOUBLE_EQ(search.distance(8), 1.0);
+  EXPECT_EQ(search.distance(5), kInfiniteDistance);
 }
 
 TEST(BfsUnit, MatchesDijkstraOnGrids) {
