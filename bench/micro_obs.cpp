@@ -16,101 +16,21 @@
 //     checked against events x cost-per-event.
 //
 //   micro_obs --emit-json BENCH_obs.json
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/mot.hpp"
+#include "micro_cluster.hpp"
 #include "micro_common.hpp"
-#include "graph/generators.hpp"
-#include "hier/doubling_hierarchy.hpp"
-#include "netio/cluster.hpp"
 #include "obs/trace.hpp"
-#include "proto/distributed_mot.hpp"
-#include "util/check.hpp"
-#include "util/rng.hpp"
 
 namespace {
 
-using mot::NodeId;
-using mot::ObjectId;
-
-struct World {
-  explicit World(std::size_t side, std::uint64_t hierarchy_seed)
-      : graph(mot::make_grid(side, side)),
-        oracle(mot::make_distance_oracle(graph)) {
-    mot::DoublingHierarchy::Params hp;
-    hp.seed = hierarchy_seed;
-    hierarchy = mot::DoublingHierarchy::build(graph, *oracle, hp);
-    mot::MotOptions options;
-    options.use_parent_sets = false;
-    options.use_special_parents = true;
-    provider = std::make_unique<mot::MotPathProvider>(*hierarchy, options);
-    chain_options = mot::make_mot_chain_options(options);
-  }
-
-  mot::Graph graph;
-  std::unique_ptr<mot::DistanceOracle> oracle;
-  std::unique_ptr<mot::DoublingHierarchy> hierarchy;
-  std::unique_ptr<mot::MotPathProvider> provider;
-  mot::ChainOptions chain_options;
-};
-
-// One threaded cluster run (the test harness shape: worker threads +
-// in-thread coordinator over real loopback sockets): publish + steps x
-// (move + query), returns wall seconds. The caller installs whatever
-// sink the variant measures; every worker thread shares it.
-double run_cluster(const World& world, std::uint32_t num_shards, int steps,
-                   std::uint64_t seed) {
-  mot::netio::ClusterCoordinator coordinator(num_shards);
-  MOT_CHECK(coordinator.open());
-  const std::uint16_t port = coordinator.port();
-  std::vector<std::thread> threads;
-  std::vector<int> rcs(num_shards, -1);
-  for (std::uint32_t shard = 0; shard < num_shards; ++shard) {
-    threads.emplace_back([shard, num_shards, port, &world, &rcs] {
-      mot::Simulator sim;
-      mot::proto::DistributedMot mot(*world.provider, sim,
-                                     world.chain_options);
-      mot::netio::WorkerConfig config;
-      config.shard = shard;
-      config.num_shards = num_shards;
-      config.coordinator_port = port;
-      mot::netio::ShardWorker worker(config, *world.provider, sim, mot);
-      rcs[shard] = worker.run();
-    });
-  }
-  MOT_CHECK(coordinator.bootstrap());
-
-  mot::SeedTree seeds(seed);
-  mot::Rng rng = seeds.stream("micro-obs");
-  constexpr ObjectId kObject = 0;
-  NodeId at = 12;
-  const auto start = std::chrono::steady_clock::now();
-  MOT_CHECK(coordinator.publish(kObject, at));
-  for (int i = 0; i < steps; ++i) {
-    const auto neighbors = world.graph.neighbors(at);
-    at = neighbors[rng.below(neighbors.size())].to;
-    MOT_CHECK(coordinator.move(kObject, at).has_value());
-    MOT_CHECK(coordinator
-                  .query(static_cast<NodeId>(
-                             rng.below(world.graph.num_nodes())),
-                         kObject)
-                  .has_value());
-  }
-  const std::chrono::duration<double> wall =
-      std::chrono::steady_clock::now() - start;
-  coordinator.shutdown();
-  for (auto& thread : threads) thread.join();
-  for (const int rc : rcs) MOT_CHECK(rc == 0);
-  return wall.count();
-}
+using mot::bench::World;
 
 // Nanoseconds per unsinked emission guard. The barrier forces the
 // g_sink load every iteration; without it the loop folds away entirely
@@ -183,9 +103,10 @@ int main(int argc, char** argv) {
           sinks.size(), reps, [&](std::size_t v, int r) {
             mot::obs::TraceSink* previous =
                 mot::obs::install_trace_sink(sinks[v]);
-            const double wall = run_cluster(
+            const double wall = mot::bench::run_cluster(
                 world, kShards, steps,
-                common.base_seed + static_cast<std::uint64_t>(r));
+                common.base_seed + static_cast<std::uint64_t>(r),
+                "micro-obs");
             mot::obs::install_trace_sink(previous);
             return wall;
           });

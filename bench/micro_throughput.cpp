@@ -23,17 +23,13 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "core/mot.hpp"
-#include "graph/generators.hpp"
-#include "hier/doubling_hierarchy.hpp"
+#include "micro_cluster.hpp"
 #include "micro_common.hpp"
-#include "netio/cluster.hpp"
 #include "par/thread_pool.hpp"
 #include "proto/distributed_mot.hpp"
 #include "util/check.hpp"
@@ -43,27 +39,7 @@ namespace {
 
 using mot::NodeId;
 using mot::ObjectId;
-
-struct World {
-  explicit World(std::size_t side, std::uint64_t hierarchy_seed)
-      : graph(mot::make_grid(side, side)),
-        oracle(mot::make_distance_oracle(graph)) {
-    mot::DoublingHierarchy::Params hp;
-    hp.seed = hierarchy_seed;
-    hierarchy = mot::DoublingHierarchy::build(graph, *oracle, hp);
-    mot::MotOptions options;
-    options.use_parent_sets = false;
-    options.use_special_parents = true;
-    provider = std::make_unique<mot::MotPathProvider>(*hierarchy, options);
-    chain_options = mot::make_mot_chain_options(options);
-  }
-
-  mot::Graph graph;
-  std::unique_ptr<mot::DistanceOracle> oracle;
-  std::unique_ptr<mot::DoublingHierarchy> hierarchy;
-  std::unique_ptr<mot::MotPathProvider> provider;
-  mot::ChainOptions chain_options;
-};
+using mot::bench::World;
 
 struct EngineOutcome {
   double wall = 0.0;          // seconds over the sustained rounds
@@ -81,9 +57,9 @@ struct EngineOutcome {
 // publish burst is setup.
 EngineOutcome run_engine(const World& world, bool batched, int objects,
                          int rounds, std::uint64_t seed) {
+  const mot::MotPathProvider provider(*world.hierarchy, world.options);
   mot::Simulator sim;
-  mot::proto::DistributedMot mot(*world.provider, sim,
-                                 world.chain_options);
+  mot::proto::DistributedMot mot(provider, sim, world.chain_options);
   if (batched) mot.use_batching(true);
 
   constexpr int kDepots = 4;
@@ -138,56 +114,6 @@ EngineOutcome run_engine(const World& world, bool batched, int objects,
   out.meter = mot.meter().total_distance();
   out.messages = mot.stats().messages_sent;
   return out;
-}
-
-// One threaded loopback cluster run (coordinator + one ShardWorker
-// thread per shard over real TCP sockets): publish + steps x (move +
-// query), returns wall seconds. Same harness shape as micro_obs, now
-// exercising the frame-batched mesh.
-double run_cluster(const World& world, std::uint32_t num_shards, int steps,
-                   std::uint64_t seed) {
-  mot::netio::ClusterCoordinator coordinator(num_shards);
-  MOT_CHECK(coordinator.open());
-  const std::uint16_t port = coordinator.port();
-  std::vector<std::thread> threads;
-  std::vector<int> rcs(num_shards, -1);
-  for (std::uint32_t shard = 0; shard < num_shards; ++shard) {
-    threads.emplace_back([shard, num_shards, port, &world, &rcs] {
-      mot::Simulator sim;
-      mot::proto::DistributedMot mot(*world.provider, sim,
-                                     world.chain_options);
-      mot::netio::WorkerConfig config;
-      config.shard = shard;
-      config.num_shards = num_shards;
-      config.coordinator_port = port;
-      mot::netio::ShardWorker worker(config, *world.provider, sim, mot);
-      rcs[shard] = worker.run();
-    });
-  }
-  MOT_CHECK(coordinator.bootstrap());
-
-  mot::SeedTree seeds(seed);
-  mot::Rng rng = seeds.stream("micro-throughput-cluster");
-  constexpr ObjectId kObject = 0;
-  NodeId at = 12;
-  const auto start = std::chrono::steady_clock::now();
-  MOT_CHECK(coordinator.publish(kObject, at));
-  for (int i = 0; i < steps; ++i) {
-    const auto neighbors = world.graph.neighbors(at);
-    at = neighbors[rng.below(neighbors.size())].to;
-    MOT_CHECK(coordinator.move(kObject, at).has_value());
-    MOT_CHECK(coordinator
-                  .query(static_cast<NodeId>(
-                             rng.below(world.graph.num_nodes())),
-                         kObject)
-                  .has_value());
-  }
-  const std::chrono::duration<double> wall =
-      std::chrono::steady_clock::now() - start;
-  coordinator.shutdown();
-  for (auto& thread : threads) thread.join();
-  for (const int rc : rcs) MOT_CHECK(rc == 0);
-  return wall.count();
 }
 
 }  // namespace
@@ -324,9 +250,10 @@ int main(int argc, char** argv) {
   for (const std::uint32_t shards : {2u, 4u}) {
     const double seconds =
         mot::bench::repeat_trimmed(cluster_reps, [&](int r) {
-          return run_cluster(world, shards, steps,
-                             common.base_seed +
-                                 static_cast<std::uint64_t>(r));
+          return mot::bench::run_cluster(
+              world, shards, steps,
+              common.base_seed + static_cast<std::uint64_t>(r),
+              "micro-throughput-cluster");
         });
     const double cluster_ops = 2.0 * steps + 1.0;
     cluster.begin_row()

@@ -139,6 +139,12 @@ assert head["ev"] == "flight_dump" and head["label"] == "sigterm", head
 assert head["aux"] == len(events) - 1, (head["aux"], len(events))
 print(f"flight dump ok: {len(events) - 1} events preserved at sigterm")
 PYEOF
+# Threaded-cluster smoke: micro_obs drives the shared cluster harness
+# (bench/micro_cluster.hpp) untraced, into a ring and into a JSONL file;
+# the throughput stage above already ran its other user.
+./build/bench/micro_obs --moves 50 --seeds 1 \
+  > "${SMOKE_DIR}/micro_obs.log" 2>&1 \
+  || { cat "${SMOKE_DIR}/micro_obs.log"; exit 1; }
 echo "observability ok: span trees connected, cost reconciled, flight dump decodable"
 
 if [[ "${1:-}" == "--fast" ]]; then

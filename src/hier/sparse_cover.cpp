@@ -47,6 +47,7 @@ SparseCover build_sparse_cover(const Graph& graph, Weight radius,
     // the ball is more than growth_threshold times the core.
     std::vector<NodeId> core{seed};
     std::vector<NodeId> ball_members;
+    int expansions = 0;
     while (true) {
       const auto ball = search.run(core, radius);
       ball_members.assign(ball.begin(), ball.end());
@@ -54,6 +55,7 @@ SparseCover build_sparse_cover(const Graph& graph, Weight radius,
       if (static_cast<double>(ball_members.size()) >
           growth_threshold * static_cast<double>(core.size())) {
         core = ball_members;
+        ++expansions;
       } else {
         break;
       }
@@ -62,9 +64,17 @@ SparseCover build_sparse_cover(const Graph& graph, Weight radius,
     Cluster cluster;
     cluster.leader = seed;
     cluster.members = ball_members;  // sorted (built in ID order)
-    const ShortestPathTree from_leader = dijkstra(graph, seed);
+    // Each expansion reaches at most r further from the seed, so every
+    // member lies within (expansions + 1)·r of it; one bounded search
+    // reads their distances. The relative slack absorbs rounding in
+    // sums of non-integer edge weights.
+    const Weight reach =
+        radius * static_cast<double>(expansions + 1) * (1.0 + 1e-9);
+    search.run(seed, reach);
     for (const NodeId v : cluster.members) {
-      cluster.radius = std::max(cluster.radius, from_leader.distance[v]);
+      const Weight d = search.distance(v);
+      MOT_CHECK(d <= reach);  // settled by the leader's search
+      cluster.radius = std::max(cluster.radius, d);
     }
 
     const auto label = static_cast<std::uint32_t>(cover.clusters.size());

@@ -38,6 +38,22 @@ bool is_maintenance_type(MsgType type) {
   }
 }
 
+// Query walker traffic: climbs, descents (direct or via a replica) and
+// the reply travelling home.
+bool is_query_type(MsgType type) {
+  return type == MsgType::kQueryUp || type == MsgType::kQueryDown ||
+         type == MsgType::kQueryDownReplica || type == MsgType::kQueryReply;
+}
+
+// Walker spine hops advance a trace's span cursor; everything else a
+// handler sends (SDL / replica bookkeeping) branches off the current
+// spine span without moving it, so a walk's spine reads as one chain
+// with leaf branches.
+bool is_spine_hop(MsgType type) {
+  return is_query_type(type) || type == MsgType::kPublish ||
+         type == MsgType::kInsert || type == MsgType::kDelete;
+}
+
 }  // namespace
 
 const char* msg_type_name(MsgType type) {
@@ -135,23 +151,11 @@ overload::Priority DistributedMot::classify(MsgType type, int attempt) {
   // for; dropping them again multiplies the waste, so they escalate past
   // fresh maintenance and query traffic.
   if (attempt > 0) return overload::Priority::kTransport;
-  switch (type) {
-    case MsgType::kReplicaAdd:
-    case MsgType::kReplicaRemove:
-      return overload::Priority::kRecovery;
-    case MsgType::kPublish:
-    case MsgType::kInsert:
-    case MsgType::kDelete:
-    case MsgType::kSdlAdd:
-    case MsgType::kSdlRemove:
-      return overload::Priority::kMaintenance;
-    case MsgType::kQueryUp:
-    case MsgType::kQueryDown:
-    case MsgType::kQueryDownReplica:
-    case MsgType::kQueryReply:
-      return overload::Priority::kQuery;
+  if (type == MsgType::kReplicaAdd || type == MsgType::kReplicaRemove) {
+    return overload::Priority::kRecovery;
   }
-  return overload::Priority::kQuery;
+  return is_maintenance_type(type) ? overload::Priority::kMaintenance
+                                   : overload::Priority::kQuery;
 }
 
 std::size_t DistributedMot::window_cap(NodeId to) const {
@@ -233,16 +237,19 @@ void DistributedMot::rebuild_replicas() {
     }
   }
   for (NodeId v = 0; v < sensors_.size(); ++v) {
-    if (is_node_dead(v) || !replica_owner_active(v)) continue;
-    for (auto& [level, role] : sensors_[v].roles) {
-      for (const auto& [object, entry] : role.dl) {
-        const NodeId slot = replica_of({level, v}, object);
-        if (slot == kInvalidNode) continue;
-        const std::uint32_t version = ++role.replica_versions[object];
-        sensors_[slot].roles[level].replicas[object][v] = {entry.child,
-                                                           version, true};
-        ++stats_.replica_updates;
-      }
+    if (!is_node_dead(v) && replica_owner_active(v)) mirror_replicas(v);
+  }
+}
+
+void DistributedMot::mirror_replicas(NodeId owner) {
+  for (auto& [level, role] : sensors_[owner].roles) {
+    for (const auto& [object, entry] : role.dl) {
+      const NodeId slot = replica_of({level, owner}, object);
+      if (slot == kInvalidNode) continue;
+      const std::uint32_t version = ++role.replica_versions[object];
+      sensors_[slot].roles[level].replicas[object][owner] = {entry.child,
+                                                             version, true};
+      ++stats_.replica_updates;
     }
   }
 }
@@ -277,20 +284,10 @@ void DistributedMot::apply_replica_placements(
     if (is_node_dead(owner)) continue;
     if (!placed_.insert(owner).second) continue;
     ++stats_.replicas_placed;
-    // Mirror the owner's live detection lists into their slots with
-    // fresh versions, so an in-flight pre-placement update (there are
-    // none at quiescence, but restarts replay through here too) could
-    // never supersede the mirrored ground truth.
-    for (auto& [level, role] : sensors_[owner].roles) {
-      for (const auto& [object, entry] : role.dl) {
-        const NodeId slot = replica_of({level, owner}, object);
-        if (slot == kInvalidNode) continue;
-        const std::uint32_t version = ++role.replica_versions[object];
-        sensors_[slot].roles[level].replicas[object][owner] = {entry.child,
-                                                               version, true};
-        ++stats_.replica_updates;
-      }
-    }
+    // Fresh versions: an in-flight pre-placement update (there are none
+    // at quiescence, but restarts replay through here too) could never
+    // supersede the mirrored ground truth.
+    mirror_replicas(owner);
     if (obs::tracing()) {
       obs::emit({.type = obs::Ev::kReplicaPlace,
                  .t = sim_->now(),
@@ -452,62 +449,32 @@ DistributedMot::SensorState& DistributedMot::local(NodeId node) {
   return sensors_[node];
 }
 
-namespace {
-
-// Walker spine hops advance a trace's span cursor; everything else a
-// handler sends (SDL / replica bookkeeping) branches off the current
-// spine span without moving it, so a walk's spine reads as one chain
-// with leaf branches.
-bool is_spine_hop(MsgType type) {
-  switch (type) {
-    case MsgType::kPublish:
-    case MsgType::kInsert:
-    case MsgType::kDelete:
-    case MsgType::kQueryUp:
-    case MsgType::kQueryDown:
-    case MsgType::kQueryDownReplica:
-    case MsgType::kQueryReply:
-      return true;
-    default:
-      return false;
-  }
-}
-
-}  // namespace
-
-void DistributedMot::send(NodeId from, Message message, Weight* op_cost) {
-  if (batching_ && is_maintenance_type(message.type)) {
-    // Batched maintenance: stage the update instead of scheduling it.
-    // All metering / tracing / stats run at flush time, where updates
-    // sharing a directed edge collapse into one charged message. The
-    // op-cost sink is NOT captured (it may point into a caller's stack
-    // frame); the flush re-resolves it against the move in flight.
-    staged_.push_back({message, from, op_cost != nullptr});
-    if (!flush_scheduled_) {
-      flush_scheduled_ = true;
-      // The window closes at the current instant: one zero-delay event
-      // drains everything staged "now", including the follow-up hops
-      // handlers stage while it runs.
-      sim_->schedule(0.0, [this] { flush_batches(); });
-    }
-    return;
-  }
+Weight DistributedMot::account_hop(NodeId from, Message& message, Weight hop,
+                                   Weight* op_cost, bool opens_frame,
+                                   bool pays) {
   const NodeId to = message.role.node;
-  const Weight hop = distance(from, to);
-  ++stats_.messages_sent;
-  if (router_ != nullptr && from != to) {
-    // Hop-by-hop physical forwarding. With a shortest-path router the
-    // route cost equals the oracle distance charged below, so the cost
-    // model is realized rather than assumed.
-    const std::vector<NodeId> route = router_->route(from, to);
-    MOT_CHECK(!route.empty());  // the overlay requires deliverable routes
-    stats_.physical_hops += route.size() - 1;
+  if (opens_frame) {
+    ++stats_.messages_sent;
+    if (router_ != nullptr && from != to) {
+      // Hop-by-hop physical forwarding. With a shortest-path router the
+      // route cost equals the oracle distance charged below, so the cost
+      // model is realized rather than assumed.
+      const std::vector<NodeId> route = router_->route(from, to);
+      MOT_CHECK(!route.empty());  // the overlay requires deliverable routes
+      stats_.physical_hops += route.size() - 1;
+    }
+  } else {
+    ++stats_.messages_coalesced;  // rides an edge frame already counted
   }
-  if (op_cost != nullptr && hop > 0.0) {
-    meter_.charge(hop);
-    *op_cost += hop;
-  } else if (op_cost != nullptr) {
-    meter_.charge(0.0, 1);
+  Weight charged = 0.0;
+  if (op_cost != nullptr) {
+    if (pays && hop > 0.0) {
+      meter_.charge(hop);
+      *op_cost += hop;
+      charged = hop;
+    } else {
+      meter_.charge(0.0, 1);
+    }
   }
   if (obs::tracing()) {
     std::uint64_t span_parent = 0;
@@ -530,15 +497,36 @@ void DistributedMot::send(NodeId from, Message message, Weight* op_cost) {
                .to = to,
                .level = message.role.level,
                .dist = hop,
-               .charged = op_cost != nullptr ? hop : 0.0,
+               .charged = charged,
                .trace = message.trace_id,
                .span = message.span,
                .parent = span_parent,
                .label = msg_type_name(message.type)});
   }
-  if (record_) {
-    deliveries_.push_back({message, from, to, sim_->now(), hop});
+  return charged;
+}
+
+void DistributedMot::send(NodeId from, Message message, Weight* op_cost) {
+  if (batching_ && is_maintenance_type(message.type)) {
+    // Batched maintenance: stage the update instead of scheduling it.
+    // All metering / tracing / stats run at flush time, where updates
+    // sharing a directed edge collapse into one charged message. The
+    // op-cost sink is NOT captured (it may point into a caller's stack
+    // frame); the flush re-resolves it against the move in flight.
+    staged_.push_back({message, from, op_cost != nullptr});
+    if (!flush_scheduled_) {
+      flush_scheduled_ = true;
+      // The window closes at the current instant: one zero-delay event
+      // drains everything staged "now", including the follow-up hops
+      // handlers stage while it runs.
+      sim_->schedule(0.0, [this] { flush_batches(); });
+    }
+    return;
   }
+  const NodeId to = message.role.node;
+  const Weight hop = distance(from, to);
+  account_hop(from, message, hop, op_cost, /*opens_frame=*/true,
+              /*pays=*/true);
   if (cluster_ != nullptr && !cluster_->owns(to)) {
     // The destination lives on another shard: the cost above is already
     // charged (costs accrue at the sender), so the message leaves this
@@ -555,18 +543,10 @@ void DistributedMot::send(NodeId from, Message message, Weight* op_cost) {
     // crash before the zero-distance delivery fires, and crash recovery
     // may rebuild the operation out from under a queued handoff. Frames
     // are cancelled by poisoning their sequence number; a handoff has no
-    // frame, so maintenance handoffs carry the object's rebuild epoch
-    // instead and drop themselves when recovery has moved on.
-    const bool maintenance = is_maintenance_type(message.type);
-    const std::uint64_t epoch =
-        maintenance ? rebuild_epoch(message.object) : 0;
-    sim_->schedule(hop, [this, message, maintenance, epoch] {
-      if (is_node_dead(message.role.node)) return;
-      if (maintenance && epoch != rebuild_epoch(message.object)) {
-        ++stats_.stale_maintenance_drops;
-        return;
-      }
-      handle(message);
+    // frame, so it carries the object's rebuild epoch instead.
+    const std::uint64_t epoch = rebuild_epoch(message.object);
+    sim_->schedule(hop, [this, message, epoch] {
+      handle_if_current(message, epoch);
     });
     return;
   }
@@ -608,6 +588,17 @@ void DistributedMot::send(NodeId from, Message message, Weight* op_cost) {
   transmit_data(seq);
 }
 
+void DistributedMot::handle_if_current(const Message& message,
+                                       std::uint64_t epoch) {
+  if (is_node_dead(message.role.node)) return;
+  if (is_maintenance_type(message.type) &&
+      epoch != rebuild_epoch(message.object)) {
+    ++stats_.stale_maintenance_drops;
+    return;
+  }
+  handle(message);
+}
+
 void DistributedMot::flush_batches() {
   ++stats_.batch_flushes;
   // Drain the window in rounds: group everything staged so far by
@@ -623,7 +614,6 @@ void DistributedMot::flush_batches() {
     NodeId to = kInvalidNode;
     std::uint32_t head = 0;
     std::uint32_t tail = 0;
-    std::uint32_t size = 0;
   };
   while (!staged_.empty()) {
     const std::span<const StagedUpdate> round =
@@ -644,26 +634,17 @@ void DistributedMot::flush_batches() {
         ++g;
       }
       if (g == num_groups) {
-        groups[num_groups++] = {from, to, i, i, 1};
+        groups[num_groups++] = {from, to, i, i};
       } else {
         next[groups[g].tail] = i;
         groups[g].tail = i;
-        ++groups[g].size;
       }
     }
     for (std::size_t g = 0; g < num_groups; ++g) {
       const EdgeGroup& group = groups[g];
       const Weight hop = distance(group.from, group.to);
-      // One metered message carries the whole group; its co-riders are
-      // the coalescing win.
-      ++stats_.messages_sent;
-      stats_.messages_coalesced += group.size - 1;
-      if (router_ != nullptr && group.from != group.to) {
-        const std::vector<NodeId> route =
-            router_->route(group.from, group.to);
-        MOT_CHECK(!route.empty());
-        stats_.physical_hops += route.size() - 1;
-      }
+      // One metered message carries the whole group: the first update
+      // opens the edge frame, its co-riders are the coalescing win.
       bool edge_paid = false;
       for (std::uint32_t i = group.head; i != kNoNext; i = next[i]) {
         Message message = round[i].message;  // trace stamping mutates it
@@ -677,45 +658,11 @@ void DistributedMot::flush_batches() {
           sink = move_cost(message.object);
           if (sink == nullptr) sink = &scratch;
         }
-        Weight charged = 0.0;
-        if (sink != nullptr) {
-          if (!edge_paid && hop > 0.0) {
-            // The first billable update on the edge pays the hop; the
-            // riders travel free but still count as meter messages.
-            meter_.charge(hop);
-            *sink += hop;
-            charged = hop;
-            edge_paid = true;
-          } else {
-            meter_.charge(0.0, 1);
-          }
-        }
-        if (obs::tracing()) {
-          std::uint64_t span_parent = 0;
-          if (TraceCtx* tctx = trace_ctx_for(message);
-              tctx != nullptr && tctx->trace_id != 0) {
-            message.trace_id = tctx->trace_id;
-            message.span = tctx->next_span++;
-            span_parent = tctx->last_span;
-            if (is_spine_hop(message.type)) tctx->last_span = message.span;
-            message.span_seq = tctx->next_span;
-          }
-          obs::emit({.type = obs::Ev::kMsgSend,
-                     .t = sim_->now(),
-                     .object = message.object,
-                     .from = group.from,
-                     .to = group.to,
-                     .level = message.role.level,
-                     .dist = hop,
-                     .charged = charged,
-                     .trace = message.trace_id,
-                     .span = message.span,
-                     .parent = span_parent,
-                     .label = msg_type_name(message.type)});
-        }
-        if (record_) {
-          deliveries_.push_back(
-              {message, group.from, group.to, sim_->now(), hop});
+        // The first billable update on the edge pays the hop; the riders
+        // travel free but still count as meter messages.
+        if (account_hop(group.from, message, hop, sink, i == group.head,
+                        !edge_paid) > 0.0) {
+          edge_paid = true;
         }
         handle(message);
       }
@@ -758,24 +705,23 @@ void DistributedMot::transmit_data(std::uint64_t seq) {
       case overload::CircuitBreaker::Gate::kPass:
         break;
     }
-    if (transfer.attempts > 0) {
-      // With overload engaged, retransmission accounting moves here so a
-      // resend is charged exactly when it reaches the wire (a parked
-      // frame costs nothing until its gate opens).
-      ++stats_.retransmissions;
-      stats_.transport_distance += dist;
-      meter_.charge(dist);
-      if (obs::tracing()) {
-        obs::emit({.type = obs::Ev::kRetransmit,
-                   .t = sim_->now(),
-                   .object = message.object,
-                   .from = from,
-                   .to = to,
-                   .dist = dist,
-                   .charged = dist,
-                   .aux = seq,
-                   .label = msg_type_name(message.type)});
-      }
+  }
+  if (transfer.attempts > 0) {
+    // A resend is charged when it reaches the wire, so a frame the
+    // breaker parks costs nothing until its gate opens.
+    ++stats_.retransmissions;
+    stats_.transport_distance += dist;
+    meter_.charge(dist);
+    if (obs::tracing()) {
+      obs::emit({.type = obs::Ev::kRetransmit,
+                 .t = sim_->now(),
+                 .object = message.object,
+                 .from = from,
+                 .to = to,
+                 .dist = dist,
+                 .charged = dist,
+                 .aux = seq,
+                 .label = msg_type_name(message.type)});
     }
   }
   const int attempt = transfer.attempts;
@@ -791,32 +737,25 @@ void DistributedMot::deliver_data(std::uint64_t seq, const Message& message,
                                   NodeId from, NodeId to, Weight dist,
                                   int attempt) {
   if (poisoned_.count(seq) != 0) return;  // cancelled by crash recovery
-  if (service_ != nullptr) {
-    // Finite-capacity receiver: admission control runs BEFORE the ack.
-    // A shed frame was never acknowledged, so the sender's retransmission
-    // timer retries it later — shedding is backpressure, not loss — and
-    // an admitted frame is never evicted (its ack already told the sender
-    // to forget it). Duplicates of an admitted frame re-ack without
-    // consuming queue space.
-    const bool duplicate = delivered_.count(seq) != 0;
-    if (!duplicate) {
-      const overload::Priority cls = classify(message.type, attempt);
-      // Queued handlers outlive crashes and rebuilds, and unlike frames
-      // they cannot be poisoned by sequence number — so they carry the
-      // same guards as local handoffs (see send()) and drop themselves
-      // when the node died or recovery moved the operation on.
-      const bool maintenance = is_maintenance_type(message.type);
-      const std::uint64_t epoch =
-          maintenance ? rebuild_epoch(message.object) : 0;
+  // Duplicate suppression, so handlers run effectively once. A pending_
+  // entry is erased only by its ack or by poisoning, so a sequence number
+  // in neither map was delivered before; a pending one was delivered
+  // once its flag is set.
+  const auto it = pending_.find(seq);
+  const bool duplicate = it == pending_.end() || it->second.delivered;
+  if (!duplicate) {
+    if (service_ != nullptr) {
+      // Finite-capacity receiver: admission control runs BEFORE the ack.
+      // A shed frame was never acknowledged, so the sender's
+      // retransmission timer retries it later — shedding is
+      // backpressure, not loss — and an admitted frame is never evicted
+      // (its ack already told the sender to forget it). Queued handlers
+      // outlive crashes and rebuilds and cannot be poisoned by sequence
+      // number, so they carry the same guard as local handoffs.
+      const std::uint64_t epoch = rebuild_epoch(message.object);
       const overload::Admit outcome = service_->offer(
-          to, cls, [this, message, maintenance, epoch] {
-            if (is_node_dead(message.role.node)) return;
-            if (maintenance && epoch != rebuild_epoch(message.object)) {
-              ++stats_.stale_maintenance_drops;
-              return;
-            }
-            handle(message);
-          });
+          to, classify(message.type, attempt),
+          [this, message, epoch] { handle_if_current(message, epoch); });
       if (outcome != overload::Admit::kAdmit) {
         ++stats_.messages_shed;
         if (obs::tracing()) {
@@ -830,39 +769,8 @@ void DistributedMot::deliver_data(std::uint64_t seq, const Message& message,
         }
         return;
       }
-      delivered_.insert(seq);
     }
-    ++stats_.acks_sent;
-    stats_.transport_distance += dist;
-    meter_.charge(dist);
-    if (obs::tracing()) {
-      obs::emit({.type = obs::Ev::kAck,
-                 .t = sim_->now(),
-                 .object = message.object,
-                 .from = to,
-                 .to = from,
-                 .dist = dist,
-                 .charged = dist,
-                 .aux = seq});
-    }
-    // The ack advertises the receiver's remaining admission headroom as a
-    // credit grant, capping how many frames the sender may keep in
-    // flight toward this node.
-    const std::size_t grant = service_->headroom(to);
-    channel_->transmit(*sim_, to, from, dist,
-                       [this, seq, grant] { on_ack_credit(seq, grant); });
-    if (duplicate) {
-      ++stats_.duplicates_suppressed;
-      if (obs::tracing()) {
-        obs::emit({.type = obs::Ev::kDuplicate,
-                   .t = sim_->now(),
-                   .object = message.object,
-                   .from = from,
-                   .to = to,
-                   .aux = seq});
-      }
-    }
-    return;
+    it->second.delivered = true;
   }
   // Acknowledge every copy: a duplicate DATA regenerates the ack in case
   // the previous one was lost. The ack link is just as unreliable.
@@ -879,10 +787,14 @@ void DistributedMot::deliver_data(std::uint64_t seq, const Message& message,
                .charged = dist,
                .aux = seq});
   }
+  // With a service model the ack advertises the receiver's remaining
+  // admission headroom as a credit grant, capping how many frames the
+  // sender may keep in flight toward this node.
+  const std::size_t grant =
+      service_ != nullptr ? service_->headroom(to) : 0;
   channel_->transmit(*sim_, to, from, dist,
-                     [this, seq] { on_ack(seq); });
-  if (!delivered_.insert(seq).second) {
-    // Duplicate suppression: handlers are effectively-once.
+                     [this, seq, grant] { on_ack(seq, grant); });
+  if (duplicate) {
     ++stats_.duplicates_suppressed;
     if (obs::tracing()) {
       obs::emit({.type = obs::Ev::kDuplicate,
@@ -894,18 +806,11 @@ void DistributedMot::deliver_data(std::uint64_t seq, const Message& message,
     }
     return;
   }
-  handle(message);
+  // An admitted frame runs from the service queue.
+  if (service_ == nullptr) handle(message);
 }
 
-void DistributedMot::on_ack(std::uint64_t seq) {
-  const auto it = pending_.find(seq);
-  if (it == pending_.end()) return;  // duplicate ack
-  stats_.ack_rtt_sum += sim_->now() - it->second.first_send;
-  ++stats_.ack_rtt_count;
-  pending_.erase(it);
-}
-
-void DistributedMot::on_ack_credit(std::uint64_t seq, std::size_t grant) {
+void DistributedMot::on_ack(std::uint64_t seq, std::size_t grant) {
   const auto it = pending_.find(seq);
   if (it == pending_.end()) return;  // duplicate ack
   const NodeId from = it->second.from;
@@ -915,6 +820,7 @@ void DistributedMot::on_ack_credit(std::uint64_t seq, std::size_t grant) {
   stats_.ack_rtt_sum += sim_->now() - it->second.first_send;
   ++stats_.ack_rtt_count;
   pending_.erase(it);
+  if (service_ == nullptr) return;
   // AIMD additive increase: a first-transmission ack is a clean epoch
   // sample; a full epoch of them raises the per-link cap one notch.
   if (adapt_ != nullptr && clean &&
@@ -1003,8 +909,8 @@ void DistributedMot::on_transfer_timeout(std::uint64_t seq) {
                           128.0 * (transfer.dist + 1.0));
   if (service_ != nullptr) {
     // A genuine timeout of a frame that was on the wire: feed the
-    // breaker's failure streak (retransmission accounting happens in
-    // transmit_data, if the gate lets the resend out).
+    // breaker's failure streak (the resend is charged in transmit_data,
+    // if the gate lets it out).
     if (breaker_for(transfer.from, transfer.to)
             .on_timeout(sim_->now(), seq)) {
       ++stats_.breaker_trips;
@@ -1038,57 +944,33 @@ void DistributedMot::on_transfer_timeout(std::uint64_t seq) {
         }
       }
     }
-    transmit_data(seq);
-    return;
-  }
-  ++stats_.retransmissions;
-  stats_.transport_distance += transfer.dist;
-  meter_.charge(transfer.dist);
-  if (obs::tracing()) {
-    obs::emit({.type = obs::Ev::kRetransmit,
-               .t = sim_->now(),
-               .object = transfer.message.object,
-               .from = transfer.from,
-               .to = transfer.to,
-               .dist = transfer.dist,
-               .charged = transfer.dist,
-               .aux = seq,
-               .label = msg_type_name(transfer.message.type)});
   }
   transmit_data(seq);
 }
 
 void DistributedMot::poison_transfer(std::uint64_t seq) {
   poisoned_.insert(seq);
-  if (service_ != nullptr) {
-    const auto it = pending_.find(seq);
-    if (it != pending_.end()) {
-      // Release the credit slot the frame held so stalled frames toward
-      // the same destination are not wedged by a cancelled transfer. A
-      // frame parked in `stalled` leaves a dangling seq there; the pump
-      // skips seqs that are no longer pending.
-      const NodeId to = it->second.to;
-      const bool counted = it->second.counted_outstanding;
-      pending_.erase(it);
-      if (counted) {
-        LinkCredit& credit = credit_for(to);
-        MOT_CHECK(credit.outstanding > 0);
-        --credit.outstanding;
-        pump_stalled(to);
-      }
-    }
-    return;
+  const auto it = pending_.find(seq);
+  if (it == pending_.end()) return;
+  const NodeId to = it->second.to;
+  const bool counted = it->second.counted_outstanding;
+  pending_.erase(it);
+  if (counted) {
+    // Release the credit slot the frame held so stalled frames toward
+    // the same destination are not wedged by a cancelled transfer. A
+    // frame parked in `stalled` leaves a dangling seq there; the pump
+    // skips seqs that are no longer pending.
+    LinkCredit& credit = credit_for(to);
+    MOT_CHECK(credit.outstanding > 0);
+    --credit.outstanding;
+    pump_stalled(to);
   }
-  pending_.erase(seq);
 }
 
 void DistributedMot::poison_query_transfers(std::uint64_t query_id) {
   std::vector<std::uint64_t> seqs;
   for (const auto& [seq, transfer] : pending_) {
-    const MsgType type = transfer.message.type;
-    if ((type == MsgType::kQueryUp || type == MsgType::kQueryDown ||
-         type == MsgType::kQueryDownReplica ||
-         type == MsgType::kQueryReply) &&
+    if (is_query_type(transfer.message.type) &&
         transfer.message.query_id == query_id) {
       seqs.push_back(seq);
     }
@@ -1100,10 +982,7 @@ void DistributedMot::poison_query_transfers(std::uint64_t query_id) {
 void DistributedMot::poison_object_transfers(ObjectId object) {
   std::vector<std::uint64_t> seqs;
   for (const auto& [seq, transfer] : pending_) {
-    const MsgType type = transfer.message.type;
-    if ((type == MsgType::kPublish || type == MsgType::kInsert ||
-         type == MsgType::kDelete || type == MsgType::kSdlAdd ||
-         type == MsgType::kSdlRemove) &&
+    if (is_maintenance_type(transfer.message.type) &&
         transfer.message.object == object) {
       seqs.push_back(seq);
     }
@@ -1200,13 +1079,17 @@ void DistributedMot::publish(ObjectId object, NodeId proxy) {
   proxies_[object] = proxy;
   physical_[object] = proxy;
   journal(durable::JournalRecord::make_publish(object, proxy));
+  if (obs::tracing()) ++op_trace_seq_[object];
+  start_publish(object, proxy);
+}
+
+void DistributedMot::start_publish(ObjectId object, NodeId proxy) {
   ++inflight_;
   publishing_.insert(object);
   if (obs::tracing()) {
     publish_trace_[object] =
-        TraceCtx{make_op_trace_id(object, ++op_trace_seq_[object])};
+        TraceCtx{make_op_trace_id(object, op_trace_seq_[object])};
   }
-
   const auto sequence = provider_->upward_sequence(proxy);
   Message message;
   message.type = MsgType::kPublish;
@@ -1261,16 +1144,21 @@ void DistributedMot::move(ObjectId object, NodeId new_proxy,
   // The object moves now; the structure catches up asynchronously.
   physical_[object] = new_proxy;
   journal(durable::JournalRecord::make_physical(object, new_proxy));
+  if (obs::tracing()) ++op_trace_seq_[object];
+  start_move(object, new_proxy, std::move(done));
+}
+
+void DistributedMot::start_move(ObjectId object, NodeId new_proxy,
+                                MoveCallback done) {
   MoveCtx ctx;
   ctx.to = new_proxy;
   ctx.done = std::move(done);
   if (obs::tracing()) {
-    ctx.trace.trace_id = make_op_trace_id(object, ++op_trace_seq_[object]);
+    ctx.trace.trace_id = make_op_trace_id(object, op_trace_seq_[object]);
   }
   auto [it, inserted] = moves_.emplace(object, std::move(ctx));
   MOT_CHECK(inserted);
   ++inflight_;
-
   const auto sequence = provider_->upward_sequence(new_proxy);
   Message message;
   message.type = MsgType::kInsert;
@@ -1397,32 +1285,39 @@ void DistributedMot::query(NodeId from, ObjectId object,
   MOT_EXPECTS(!is_node_dead(from));
   MOT_EXPECTS(proxies_.count(object) != 0);
   const std::uint64_t id = next_query_id_++;
-  QueryCtx ctx;
-  ctx.origin = from;
-  ctx.object = object;
-  ctx.done = std::move(done);
-  if (obs::tracing()) ctx.trace.trace_id = make_query_trace_id(id);
-  queries_.emplace(id, std::move(ctx));
-  ++inflight_;
-  issue_query_walker(id);
+  start_query(id, from, object, std::move(done));
   if (policy_.deadline > 0.0) arm_query_watchdog(id);
   if (policy_.hedge_delay > 0.0) {
     sim_->schedule(policy_.hedge_delay, [this, id] { hedge_query(id); });
   }
 }
 
-void DistributedMot::issue_query_walker(std::uint64_t query_id) {
+void DistributedMot::start_query(std::uint64_t query_id, NodeId origin,
+                                 ObjectId object, QueryCallback done) {
+  QueryCtx ctx;
+  ctx.origin = origin;
+  ctx.object = object;
+  ctx.done = std::move(done);
+  if (obs::tracing()) ctx.trace.trace_id = make_query_trace_id(query_id);
+  const bool inserted = queries_.emplace(query_id, std::move(ctx)).second;
+  MOT_CHECK(inserted);
+  ++inflight_;
+  issue_query_walker(query_id, origin);
+}
+
+void DistributedMot::issue_query_walker(std::uint64_t query_id,
+                                        NodeId from) {
   QueryCtx& ctx = queries_.at(query_id);
-  const auto sequence = provider_->upward_sequence(ctx.origin);
+  const auto sequence = provider_->upward_sequence(from);
   Message message;
   message.type = MsgType::kQueryUp;
   message.object = ctx.object;
   message.role = sequence.front().node;
-  message.walk_source = ctx.origin;
+  message.walk_source = from;
   message.walk_index = 0;
   message.requester = ctx.origin;
   message.query_id = query_id;
-  send(ctx.origin, message, &ctx.cost);
+  send(from, message, &ctx.cost);
 }
 
 void DistributedMot::arm_query_watchdog(std::uint64_t query_id) {
@@ -1481,7 +1376,7 @@ void DistributedMot::on_query_deadline(std::uint64_t query_id,
   // Drop the stuck walker's leavings and start a fresh climb from home.
   poison_query_transfers(query_id);
   erase_parked_records(query_id);
-  issue_query_walker(query_id);
+  issue_query_walker(query_id, ctx.origin);
   arm_query_watchdog(query_id);
 }
 
@@ -1500,7 +1395,7 @@ void DistributedMot::hedge_query(std::uint64_t query_id) {
   }
   // A second walker under the same id: the first reply wins and the
   // loser's messages are dropped as stale.
-  issue_query_walker(query_id);
+  issue_query_walker(query_id, ctx.origin);
 }
 
 void DistributedMot::on_query_up(const Message& message) {
@@ -1724,17 +1619,7 @@ void DistributedMot::restart_query(std::uint64_t query_id, NodeId from) {
   QueryCtx& ctx = ctx_it->second;
   ++ctx.restarts;
   MOT_CHECK(ctx.restarts < kMaxQueryRestarts);
-
-  const auto sequence = provider_->upward_sequence(from);
-  Message message;
-  message.type = MsgType::kQueryUp;
-  message.object = ctx.object;
-  message.role = sequence.front().node;
-  message.walk_source = from;
-  message.walk_index = 0;
-  message.requester = ctx.origin;
-  message.query_id = query_id;
-  send(from, message, &ctx.cost);
+  issue_query_walker(query_id, from);
 }
 
 void DistributedMot::redirect_parked(NodeId self, ObjectId object,
@@ -1872,36 +1757,24 @@ void DistributedMot::on_sdl_remove(const Message& message) {
 
 DistributedMot::TraceCtx* DistributedMot::trace_ctx_for(
     const Message& message) {
-  switch (message.type) {
-    case MsgType::kPublish: {
-      const auto it = publish_trace_.find(message.object);
-      return it == publish_trace_.end() ? nullptr : &it->second;
-    }
-    case MsgType::kInsert:
-    case MsgType::kDelete: {
-      const auto it = moves_.find(message.object);
-      return it == moves_.end() ? nullptr : &it->second.trace;
-    }
-    case MsgType::kQueryUp:
-    case MsgType::kQueryDown:
-    case MsgType::kQueryDownReplica:
-    case MsgType::kQueryReply: {
-      const auto it = queries_.find(message.query_id);
-      return it == queries_.end() ? nullptr : &it->second.trace;
-    }
-    case MsgType::kSdlAdd:
-    case MsgType::kSdlRemove:
-    case MsgType::kReplicaAdd:
-    case MsgType::kReplicaRemove: {
-      // Side-branch bookkeeping of whichever walk over this object is
-      // executing here — a move if one is in flight, else a publish.
-      const auto mv = moves_.find(message.object);
-      if (mv != moves_.end()) return &mv->second.trace;
-      const auto pb = publish_trace_.find(message.object);
-      return pb == publish_trace_.end() ? nullptr : &pb->second;
+  if (is_query_type(message.type)) {
+    const auto it = queries_.find(message.query_id);
+    return it == queries_.end() ? nullptr : &it->second.trace;
+  }
+  // Inserts and deletes are a move's walk, a publish hop is a publish's;
+  // SDL / replica updates are side-branch bookkeeping of whichever walk
+  // over this object is executing here — a move if one is in flight,
+  // else a publish.
+  if (message.type != MsgType::kPublish) {
+    const auto mv = moves_.find(message.object);
+    if (mv != moves_.end()) return &mv->second.trace;
+    if (message.type == MsgType::kInsert ||
+        message.type == MsgType::kDelete) {
+      return nullptr;
     }
   }
-  return nullptr;
+  const auto pb = publish_trace_.find(message.object);
+  return pb == publish_trace_.end() ? nullptr : &pb->second;
 }
 
 // Trace ids must be (a) nonzero, (b) unique per walk, and (c) derived
@@ -1934,39 +1807,29 @@ std::uint64_t DistributedMot::make_query_trace_id(
 }
 
 void DistributedMot::forward_remote(NodeId from, Message message) {
-  switch (message.type) {
-    case MsgType::kInsert:
-    case MsgType::kDelete: {
-      const auto it = moves_.find(message.object);
-      MOT_CHECK(it != moves_.end());
-      message.op_cost = it->second.cost;
-      message.op_peak = it->second.peak_level;
-      // message.new_proxy already carries ctx.to (set at move() for the
-      // climb, at the splice for the tear).
-      moves_.erase(it);
-      --inflight_;
-      break;
-    }
-    case MsgType::kQueryUp:
-    case MsgType::kQueryDown:
-    case MsgType::kQueryDownReplica:
-    case MsgType::kQueryReply: {
-      const auto it = queries_.find(message.query_id);
-      MOT_CHECK(it != queries_.end());
-      message.op_cost = it->second.cost;
-      message.op_peak = it->second.found_level;
-      queries_.erase(it);
-      --inflight_;
-      break;
-    }
-    case MsgType::kPublish:
-      // The climb leaves this shard; the in-flight marker travels along.
-      publishing_.erase(message.object);
-      publish_trace_.erase(message.object);
-      --inflight_;
-      break;
-    default:
-      break;  // SDL / replica updates carry no walker context
+  // SDL / replica updates carry no walker context; spine hops take
+  // theirs along and leave this shard.
+  if (is_query_type(message.type)) {
+    const auto it = queries_.find(message.query_id);
+    MOT_CHECK(it != queries_.end());
+    message.op_cost = it->second.cost;
+    message.op_peak = it->second.found_level;
+    queries_.erase(it);
+    --inflight_;
+  } else if (message.type == MsgType::kPublish) {
+    // The in-flight marker travels with the climb.
+    publishing_.erase(message.object);
+    publish_trace_.erase(message.object);
+    --inflight_;
+  } else if (is_spine_hop(message.type)) {  // insert / delete
+    const auto it = moves_.find(message.object);
+    MOT_CHECK(it != moves_.end());
+    message.op_cost = it->second.cost;
+    message.op_peak = it->second.peak_level;
+    // message.new_proxy already carries ctx.to (set at move() for the
+    // climb, at the splice for the tear).
+    moves_.erase(it);
+    --inflight_;
   }
   cluster_->forward(message, from);
 }
@@ -1987,56 +1850,33 @@ void DistributedMot::cluster_inject(const Message& message, NodeId from) {
   // continues the same span tree with no gaps or reuse.
   const TraceCtx arriving{message.trace_id, message.span_seq,
                           message.span};
-  switch (message.type) {
-    case MsgType::kInsert:
-    case MsgType::kDelete: {
-      MOT_CHECK(moves_.count(message.object) == 0);
-      MoveCtx ctx;
-      ctx.to = message.new_proxy;
-      ctx.cost = message.op_cost;
-      ctx.peak_level = message.op_peak;
-      if (message.trace_id != 0) ctx.trace = arriving;
-      moves_.emplace(message.object, std::move(ctx));
-      ++inflight_;
-      break;
-    }
-    case MsgType::kQueryUp:
-    case MsgType::kQueryDown:
-    case MsgType::kQueryDownReplica: {
-      MOT_CHECK(queries_.count(message.query_id) == 0);
-      QueryCtx ctx;
-      ctx.origin = message.requester;
-      ctx.object = message.object;
-      ctx.cost = message.op_cost;
-      ctx.found_level = message.op_peak;
-      if (message.trace_id != 0) ctx.trace = arriving;
-      queries_.emplace(message.query_id, std::move(ctx));
-      ++inflight_;
-      break;
-    }
-    case MsgType::kQueryReply: {
-      // The reply came home to the origin's shard; the context it needs
-      // (final cost, found level) rides in the message.
-      MOT_CHECK(queries_.count(message.query_id) == 0);
-      QueryCtx ctx;
-      ctx.origin = message.role.node;
-      ctx.object = message.object;
-      ctx.cost = message.op_cost;
-      ctx.found_level = message.op_peak;
-      if (message.trace_id != 0) ctx.trace = arriving;
-      queries_.emplace(message.query_id, std::move(ctx));
-      ++inflight_;
-      break;
-    }
-    case MsgType::kPublish:
-      publishing_.insert(message.object);
-      if (message.trace_id != 0) {
-        publish_trace_[message.object] = arriving;
-      }
-      ++inflight_;
-      break;
-    default:
-      break;
+  if (is_query_type(message.type)) {
+    QueryCtx ctx;
+    // A reply came home to the origin's shard; the context it needs
+    // (final cost, found level) rides in the message.
+    ctx.origin = message.type == MsgType::kQueryReply ? message.role.node
+                                                      : message.requester;
+    ctx.object = message.object;
+    ctx.cost = message.op_cost;
+    ctx.found_level = message.op_peak;
+    if (message.trace_id != 0) ctx.trace = arriving;
+    const bool inserted =
+        queries_.emplace(message.query_id, std::move(ctx)).second;
+    MOT_CHECK(inserted);
+    ++inflight_;
+  } else if (message.type == MsgType::kPublish) {
+    publishing_.insert(message.object);
+    if (message.trace_id != 0) publish_trace_[message.object] = arriving;
+    ++inflight_;
+  } else if (is_spine_hop(message.type)) {  // insert / delete
+    MoveCtx ctx;
+    ctx.to = message.new_proxy;
+    ctx.cost = message.op_cost;
+    ctx.peak_level = message.op_peak;
+    if (message.trace_id != 0) ctx.trace = arriving;
+    const bool inserted = moves_.emplace(message.object, std::move(ctx)).second;
+    MOT_CHECK(inserted);
+    ++inflight_;
   }
   sim_->schedule(0.0, [this, local] { handle(local); });
 }
@@ -2056,60 +1896,21 @@ void DistributedMot::cluster_note_position(ObjectId object,
 void DistributedMot::cluster_publish(ObjectId object, NodeId proxy) {
   MOT_CHECK(cluster_ != nullptr && cluster_->owns(proxy));
   MOT_EXPECTS(physical_.at(object) == proxy);  // broadcast came first
-  ++inflight_;
-  publishing_.insert(object);
-  if (obs::tracing()) {
-    // The note-position broadcast already advanced the ordinal; read it.
-    publish_trace_[object] =
-        TraceCtx{make_op_trace_id(object, op_trace_seq_[object])};
-  }
-  const auto sequence = provider_->upward_sequence(proxy);
-  Message message;
-  message.type = MsgType::kPublish;
-  message.object = object;
-  message.role = sequence.front().node;
-  message.walk_source = proxy;
-  message.walk_index = 0;
-  message.link = sequence.front().node;  // sentinel: child == self
-  send(proxy, message, nullptr);
+  start_publish(object, proxy);
 }
 
 void DistributedMot::cluster_move(ObjectId object, NodeId new_proxy) {
   MOT_CHECK(cluster_ != nullptr && cluster_->owns(new_proxy));
   MOT_EXPECTS(physical_.at(object) == new_proxy);  // broadcast came first
   MOT_EXPECTS(moves_.count(object) == 0);
-  MoveCtx seed;
-  seed.to = new_proxy;
-  if (obs::tracing()) {
-    seed.trace.trace_id = make_op_trace_id(object, op_trace_seq_[object]);
-  }
-  auto [it, inserted] = moves_.emplace(object, std::move(seed));
-  MOT_CHECK(inserted);
-  ++inflight_;
-  const auto sequence = provider_->upward_sequence(new_proxy);
-  Message message;
-  message.type = MsgType::kInsert;
-  message.object = object;
-  message.role = sequence.front().node;
-  message.walk_source = new_proxy;
-  message.walk_index = 0;
-  message.link = sequence.front().node;  // sentinel if installed fresh
-  message.new_proxy = new_proxy;
-  send(new_proxy, message, &it->second.cost);
+  start_move(object, new_proxy, {});
 }
 
 void DistributedMot::cluster_query(NodeId origin, ObjectId object,
                                    std::uint64_t query_id) {
   MOT_CHECK(cluster_ != nullptr && cluster_->owns(origin));
   MOT_EXPECTS(proxies_.count(object) != 0);
-  MOT_CHECK(queries_.count(query_id) == 0);
-  QueryCtx ctx;
-  ctx.origin = origin;
-  ctx.object = object;
-  if (obs::tracing()) ctx.trace.trace_id = make_query_trace_id(query_id);
-  queries_.emplace(query_id, std::move(ctx));
-  ++inflight_;
-  issue_query_walker(query_id);
+  start_query(query_id, origin, object, {});
 }
 
 // ---------------------------------------------------------------------------
@@ -2143,24 +1944,12 @@ void DistributedMot::recover_from_crash(NodeId victim) {
   std::vector<ObjectId> damaged;
   std::vector<std::uint64_t> queries_to_restart;
   for (const std::uint64_t seq : stalled) {
+    // SDL / replica cross-references are restored by the sweep below.
     const Message& lost = pending_.at(seq).message;
-    switch (lost.type) {
-      case MsgType::kPublish:
-      case MsgType::kInsert:
-      case MsgType::kDelete:
-        damaged.push_back(lost.object);
-        break;
-      case MsgType::kSdlAdd:
-      case MsgType::kSdlRemove:
-      case MsgType::kReplicaAdd:
-      case MsgType::kReplicaRemove:
-        break;  // cross-references are restored by the sweep below
-      case MsgType::kQueryUp:
-      case MsgType::kQueryDown:
-      case MsgType::kQueryDownReplica:
-      case MsgType::kQueryReply:
-        queries_to_restart.push_back(lost.query_id);
-        break;
+    if (is_query_type(lost.type)) {
+      queries_to_restart.push_back(lost.query_id);
+    } else if (is_spine_hop(lost.type)) {  // publish / insert / delete
+      damaged.push_back(lost.object);
     }
     poison_transfer(seq);
   }
@@ -2331,19 +2120,7 @@ void DistributedMot::splice_around(NodeId victim) {
         journal(durable::JournalRecord::make_splice(OverlayNode{level, v},
                                                     object, target));
         // The repair message: parent tells the bypassed child directly.
-        const Weight hop = distance(v, target.node);
-        stats_.recovery_distance += hop;
-        meter_.charge(hop);
-        if (obs::tracing()) {
-          obs::emit({.type = obs::Ev::kRecoverySplice,
-                     .t = sim_->now(),
-                     .object = object,
-                     .from = v,
-                     .to = target.node,
-                     .level = target.level,
-                     .dist = hop,
-                     .charged = hop});
-        }
+        charge_recovery(obs::Ev::kRecoverySplice, object, v, target);
         ++spliced;
       }
     }
@@ -2354,6 +2131,23 @@ void DistributedMot::splice_around(NodeId victim) {
       (void)level;
       stats_.chain_splices += role.dl.count(object);
     }
+  }
+}
+
+void DistributedMot::charge_recovery(obs::Ev type, ObjectId object,
+                                     NodeId from, OverlayNode to) {
+  const Weight hop = distance(from, to.node);
+  stats_.recovery_distance += hop;
+  meter_.charge(hop);
+  if (obs::tracing()) {
+    obs::emit({.type = type,
+               .t = sim_->now(),
+               .object = object,
+               .from = from,
+               .to = to.node,
+               .level = to.level,
+               .dist = hop,
+               .charged = hop});
   }
 }
 
@@ -2391,19 +2185,7 @@ void DistributedMot::rebuild_object(
   std::size_t index = 0;
   while (index < sequence.size()) {
     const OverlayNode stop = sequence[index].node;
-    const Weight hop = distance(child.node, stop.node);
-    stats_.recovery_distance += hop;
-    meter_.charge(hop);
-    if (obs::tracing()) {
-      obs::emit({.type = obs::Ev::kRecoveryHop,
-                 .t = sim_->now(),
-                 .object = object,
-                 .from = child.node,
-                 .to = stop.node,
-                 .level = stop.level,
-                 .dist = hop,
-                 .charged = hop});
-    }
+    charge_recovery(obs::Ev::kRecoveryHop, object, child.node, stop);
     RoleState& role = sensors_[stop.node].roles[stop.level];
     std::optional<OverlayNode> sp;
     if (options_.use_special_lists) {
@@ -2416,19 +2198,7 @@ void DistributedMot::rebuild_object(
     if (sp) {
       sensors_[sp->node].roles[sp->level].sdl[object].push_back(stop);
       journal(durable::JournalRecord::make_sdl_add(*sp, object, stop));
-      const Weight sp_hop = distance(stop.node, sp->node);
-      stats_.recovery_distance += sp_hop;
-      meter_.charge(sp_hop);
-      if (obs::tracing()) {
-        obs::emit({.type = obs::Ev::kRecoveryHop,
-                   .t = sim_->now(),
-                   .object = object,
-                   .from = stop.node,
-                   .to = sp->node,
-                   .level = sp->level,
-                   .dist = sp_hop,
-                   .charged = sp_hop});
-      }
+      charge_recovery(obs::Ev::kRecoveryHop, object, stop.node, *sp);
     }
     child = stop;
     index = next_alive_index(sequence, index + 1);

@@ -20,13 +20,21 @@
 // parks there and is redirected by the delete message that carries the
 // new location (Section 3).
 //
+// Every logical hop — sent directly or in a batch flush — is counted,
+// charged and traced by one routine (account_hop), so the delivery modes
+// differ only in how the message then travels.
+//
 // Fault tolerance (src/faults/): attaching a Channel via use_channel()
 // engages a reliable link layer — every inter-node message becomes a
 // sequence-numbered DATA frame that is retransmitted on a capped
 // exponential-backoff timer until an ACK returns, and the receiver
 // suppresses duplicate sequence numbers, so delivery over a dropping /
 // duplicating / reordering channel is at-least-once + dedup =
-// effectively-once. Crash-stop node failures (announced, Section 7)
+// effectively-once. Dedup keeps no receiver-side set: an unacked frame
+// carries a delivered flag, and a sequence number that is neither
+// pending nor poisoned was acked, hence delivered. A ServiceModel adds
+// only admission before the ack and credit on its return. Crash-stop
+// node failures (announced, Section 7)
 // trigger recovery: chains through the dead sensor are spliced, objects
 // with a maintenance walker lost in the crash are rebuilt from their
 // physical position, and stranded queries are restarted from their
@@ -44,6 +52,7 @@
 
 #include "net/router.hpp"
 #include "obs/metrics_registry.hpp"
+#include "obs/trace.hpp"
 #include "overload/circuit_breaker.hpp"
 #include "proto/messages.hpp"
 #include "sim/channel.hpp"
@@ -355,10 +364,6 @@ class DistributedMot {
   // a real, deterministic recovery defect.
   void break_recovery_for_tests(bool on) { break_recovery_ = on; }
 
-  // Optional wire trace for debugging / tests.
-  void record_deliveries(bool on) { record_ = on; }
-  const std::vector<Delivery>& deliveries() const { return deliveries_; }
-
   // Quiescent check: per object, entries form one root -> proxy chain,
   // no unacknowledged transfers linger, and SDL bookkeeping is settled.
   void validate_quiescent() const;
@@ -458,6 +463,9 @@ class DistributedMot {
     // wakeup must not be reported to the breaker as a link failure).
     bool counted_outstanding = false;
     bool breaker_parked = false;
+    // Set when the receiver accepts the first copy (after admission,
+    // with a service model); later copies are duplicates.
+    bool delivered = false;
   };
 
   // Sender-side credit state toward one destination node. `window` is
@@ -475,7 +483,17 @@ class DistributedMot {
   SensorState& local(NodeId node);
 
   void send(NodeId from, Message message, Weight* op_cost);
+  // Per-hop accounting shared by direct sends and batch flushes: counts
+  // the message (or, for a batch rider, the coalescing), walks the
+  // router path, charges the meter and `op_cost`, stamps the trace span
+  // onto `message` and emits kMsgSend. A hop that does not `pay` rides
+  // an edge another update paid for. Returns the distance charged.
+  Weight account_hop(NodeId from, Message& message, Weight hop,
+                     Weight* op_cost, bool opens_frame, bool pays);
   void handle(const Message& message);
+  // Runs a queued local handoff or admitted frame unless its node died
+  // or crash recovery rebuilt the object since `epoch` was read.
+  void handle_if_current(const Message& message, std::uint64_t epoch);
   void forward_remote(NodeId from, Message message);
 
   // --- Batched maintenance (engaged when batching_ is on). -------------
@@ -516,6 +534,13 @@ class DistributedMot {
                      std::optional<OverlayNode> sp, Weight* op_cost);
   Weight* move_cost(ObjectId object);
 
+  // Walker starts shared by the single-process and cluster entry points
+  // (the op ordinal trace ids derive from is already advanced).
+  void start_publish(ObjectId object, NodeId proxy);
+  void start_move(ObjectId object, NodeId new_proxy, MoveCallback done);
+  void start_query(std::uint64_t query_id, NodeId origin, ObjectId object,
+                   QueryCallback done);
+
   void finish_move(ObjectId object);
   void finish_query(std::uint64_t query_id, NodeId proxy);
   void restart_query(std::uint64_t query_id, NodeId from);
@@ -526,7 +551,8 @@ class DistributedMot {
   void arm_query_watchdog(std::uint64_t query_id);
   void on_query_deadline(std::uint64_t query_id, std::uint64_t gen);
   void hedge_query(std::uint64_t query_id);
-  void issue_query_walker(std::uint64_t query_id);
+  // Sends a fresh kQueryUp climb of `query_id` from `from`.
+  void issue_query_walker(std::uint64_t query_id, NodeId from);
   NodeId replica_of(OverlayNode role, ObjectId object) const;
   std::uint64_t rebuild_epoch(ObjectId object) const {
     const auto it = rebuild_epoch_.find(object);
@@ -535,6 +561,9 @@ class DistributedMot {
   void send_replica_update(NodeId self, int level, ObjectId object,
                            OverlayNode child, bool present);
   void rebuild_replicas();
+  // Mirrors every live detection-list entry of `owner` into its replica
+  // slot under a fresh version.
+  void mirror_replicas(NodeId owner);
 
   Weight distance(NodeId a, NodeId b) const;
 
@@ -553,7 +582,8 @@ class DistributedMot {
   void transmit_data(std::uint64_t seq);
   void deliver_data(std::uint64_t seq, const Message& message, NodeId from,
                     NodeId to, Weight dist, int attempt);
-  void on_ack(std::uint64_t seq);
+  // `grant` is the receiver's credit (used only with a service model).
+  void on_ack(std::uint64_t seq, std::size_t grant);
   void on_transfer_timeout(std::uint64_t seq);
 
   // --- Overload resilience (engaged when service_ != nullptr). ---------
@@ -563,7 +593,6 @@ class DistributedMot {
   std::size_t window_cap(NodeId to) const;
   LinkCredit& credit_for(NodeId to);
   overload::CircuitBreaker& breaker_for(NodeId from, NodeId to);
-  void on_ack_credit(std::uint64_t seq, std::size_t grant);
   void pump_stalled(NodeId to);
   void poison_transfer(std::uint64_t seq);
   void poison_query_transfers(std::uint64_t query_id);
@@ -572,6 +601,10 @@ class DistributedMot {
   // --- Crash recovery (Section 7, crash-stop). -------------------------
   void recover_from_crash(NodeId victim);
   void splice_around(NodeId victim);
+  // Charges one repair message from `from` to role `to` as recovery
+  // traffic and traces it as `type`.
+  void charge_recovery(obs::Ev type, ObjectId object, NodeId from,
+                       OverlayNode to);
   void rebuild_object(ObjectId object,
                       std::vector<std::uint64_t>* queries_to_restart);
   void erase_parked_records(std::uint64_t query_id);
@@ -637,10 +670,7 @@ class DistributedMot {
   Arena batch_arena_;
   std::uint64_t next_seq_ = 1;
   std::unordered_map<std::uint64_t, PendingTransfer> pending_;
-  std::unordered_set<std::uint64_t> delivered_;  // receiver-side dedup
-  std::unordered_set<std::uint64_t> poisoned_;   // cancelled by recovery
-  bool record_ = false;
-  std::vector<Delivery> deliveries_;
+  std::unordered_set<std::uint64_t> poisoned_;  // cancelled by recovery
 };
 
 }  // namespace mot::proto

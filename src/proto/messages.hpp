@@ -100,13 +100,4 @@ struct Message {
 inline constexpr std::uint8_t kNumMsgTypes =
     static_cast<std::uint8_t>(MsgType::kQueryDownReplica) + 1;
 
-// Per-message accounting record (for protocol traces and tests).
-struct Delivery {
-  Message message;
-  NodeId from = kInvalidNode;
-  NodeId to = kInvalidNode;
-  double send_time = 0.0;
-  Weight distance = 0.0;
-};
-
 }  // namespace mot::proto

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <tuple>
 
 #include "core/mot.hpp"
@@ -856,38 +857,50 @@ TEST(Retransmission, RetransmitRacingItsOwnAckIsDeduplicated) {
   // Every copy (data and ack alike) is delayed by up to 10 ticks while
   // single-hop RTOs are ~3: frames routinely time out and resend while
   // their original — or its ack — is still in flight. The receiver-side
-  // dedup window must make the race harmless: effects apply exactly
-  // once and costs match the centralized engine step for step.
+  // dedup must make the race harmless: effects apply exactly once and
+  // costs match the centralized engine step for step — also when a
+  // service model queues admitted frames before their handlers run.
   const Fixture fx;
-  ChainTracker central("seq", *fx.provider, fx.chain_options);
-  Simulator sim;
-  FaultPlan plan;
-  plan.set_default_faults(lossy(0.0, 0.0, /*delay=*/1.0,
-                                /*max_extra_delay=*/10.0));
-  UnreliableChannel channel(plan, 31);
-  DistributedMot dist(*fx.provider, sim, fx.chain_options);
-  dist.use_channel(&channel);
+  for (const bool with_service : {false, true}) {
+    SCOPED_TRACE(with_service ? "service model" : "direct delivery");
+    ChainTracker central("seq", *fx.provider, fx.chain_options);
+    Simulator sim;
+    FaultPlan plan;
+    plan.set_default_faults(lossy(0.0, 0.0, /*delay=*/1.0,
+                                  /*max_extra_delay=*/10.0));
+    UnreliableChannel channel(plan, 31);
+    DistributedMot dist(*fx.provider, sim, fx.chain_options);
+    dist.use_channel(&channel);
+    std::unique_ptr<ServiceModel> service;
+    if (with_service) {
+      overload::OverloadConfig cfg;  // ample capacity: queueing, no sheds
+      cfg.seed = 5;
+      service = std::make_unique<ServiceModel>(sim, fx.graph.num_nodes(),
+                                               cfg);
+      dist.use_overload(service.get());
+    }
 
-  central.publish(0, 0);
-  dist.publish(0, 0);
-  sim.run();
-
-  Rng rng(9);
-  NodeId at = 0;
-  for (int i = 0; i < 40; ++i) {
-    const auto neighbors = fx.graph.neighbors(at);
-    at = neighbors[rng.below(neighbors.size())].to;
-    const MoveResult expected = central.move(0, at);
-    MoveResult actual;
-    dist.move(0, at, [&actual](const MoveResult& r) { actual = r; });
+    central.publish(0, 0);
+    dist.publish(0, 0);
     sim.run();
-    ASSERT_DOUBLE_EQ(actual.cost, expected.cost) << "step " << i;
+
+    Rng rng(9);
+    NodeId at = 0;
+    for (int i = 0; i < 40; ++i) {
+      const auto neighbors = fx.graph.neighbors(at);
+      at = neighbors[rng.below(neighbors.size())].to;
+      const MoveResult expected = central.move(0, at);
+      MoveResult actual;
+      dist.move(0, at, [&actual](const MoveResult& r) { actual = r; });
+      sim.run();
+      ASSERT_DOUBLE_EQ(actual.cost, expected.cost) << "step " << i;
+    }
+    EXPECT_GT(dist.stats().retransmissions, 0u);       // the race happened
+    EXPECT_GT(dist.stats().duplicates_suppressed, 0u); // and was absorbed
+    EXPECT_EQ(dist.proxy_of(0), central.proxy_of(0));
+    EXPECT_EQ(dist.load_per_node(), central.load_per_node());
+    dist.validate_quiescent();
   }
-  EXPECT_GT(dist.stats().retransmissions, 0u);       // the race happened
-  EXPECT_GT(dist.stats().duplicates_suppressed, 0u); // and was absorbed
-  EXPECT_EQ(dist.proxy_of(0), central.proxy_of(0));
-  EXPECT_EQ(dist.load_per_node(), central.load_per_node());
-  dist.validate_quiescent();
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "expt/experiment.hpp"
 #include "graph/generators.hpp"
 #include "hier/doubling_hierarchy.hpp"
+#include "obs/trace.hpp"
 #include "workload/mobility.hpp"
 
 namespace mot {
@@ -187,21 +188,27 @@ TEST(DistributedMot, MessageCountsAreReasonable) {
 
 TEST(DistributedMot, DeliveryTraceRecordsWire) {
   const Fixture fx;
+  obs::RingBufferSink ring(1 << 12);
+  obs::TraceSink* previous = obs::install_trace_sink(&ring);
   Simulator sim;
   DistributedMot dist(*fx.provider, sim, fx.chain_options);
-  dist.record_deliveries(true);
   dist.publish(0, 9);
   sim.run();
-  ASSERT_FALSE(dist.deliveries().empty());
-  // First delivery is the publish injected at the proxy itself.
-  const proto::Delivery& first = dist.deliveries().front();
-  EXPECT_EQ(first.message.type, proto::MsgType::kPublish);
-  EXPECT_EQ(first.to, 9u);
+  obs::install_trace_sink(previous);
+  std::vector<obs::TraceEvent> sends = ring.events();
+  std::erase_if(sends, [](const obs::TraceEvent& e) {
+    return e.type != obs::Ev::kMsgSend;
+  });
+  ASSERT_FALSE(sends.empty());
+  // First send is the publish injected at the proxy itself.
+  EXPECT_STREQ(sends.front().label,
+               proto::msg_type_name(proto::MsgType::kPublish));
+  EXPECT_EQ(sends.front().to, 9u);
   // Distances on the wire match the oracle.
-  for (const proto::Delivery& d : dist.deliveries()) {
-    EXPECT_DOUBLE_EQ(d.distance, d.from == d.to
-                                     ? 0.0
-                                     : fx.oracle->distance(d.from, d.to));
+  for (const obs::TraceEvent& d : sends) {
+    EXPECT_DOUBLE_EQ(d.dist, d.from == d.to
+                                 ? 0.0
+                                 : fx.oracle->distance(d.from, d.to));
   }
 }
 
