@@ -7,9 +7,10 @@
 //
 //   rebuild   full DoublingHierarchy::build (MIS refinement) + republish
 //             every object at its current physical position
-//   restore   DurableStore::restore — snapshot decode + from_state CSR
-//             rehydration + journal-suffix replay — and
-//             restore_durable_image into a fresh tracker
+//   restore   the same DoublingHierarchy::build (snapshots do not store
+//             the overlay), then DurableStore::restore — snapshot
+//             decode + world-fingerprint check + journal-suffix replay —
+//             and restore_durable_image into a fresh tracker
 //
 // Every restored tracker is checked against the live one (image digest
 // equality + spot queries) before its time is accepted, so the table
@@ -159,16 +160,15 @@ int main(int argc, char** argv) {
       return wall;
     });
 
-    // (b) restore: snapshot decode + CSR rehydration + journal replay.
+    // (b) restore: hierarchy build + snapshot decode + journal replay.
     std::uint64_t journal_replayed = 0;
     const double restore_s = mot::bench::repeat_trimmed(reps, [&](int) {
       const auto start = std::chrono::steady_clock::now();
+      auto hierarchy =
+          mot::DoublingHierarchy::build(world.graph, *world.oracle, world.hp);
       mot::durable::DurableStore::RestoreResult result =
-          store.restore(world.graph);
+          store.restore(world.graph, *hierarchy);
       MOT_CHECK(result.restored());
-      auto hierarchy = mot::DoublingHierarchy::from_state(
-          world.graph, *world.oracle, result.hierarchy);
-      MOT_CHECK(hierarchy != nullptr);
       mot::MotPathProvider provider(*hierarchy, mot::MotOptions{
                                                     .use_parent_sets = false,
                                                     .use_special_parents = true,

@@ -208,7 +208,17 @@ if ! ./build-asan/bench/chaos_runner --durability --inject-corruption \
   cat "${DURABLE_LOG}"
   exit 1
 fi
-echo "durability ok: restores byte-identical to reference; corruption falls back typed"
+# Cold start the way a process does it: build the hierarchy, then
+# restore snapshot + journal onto it. micro_durable aborts unless every
+# restored tracker's image and spot queries match the live tracker.
+cmake --build build-asan -j "${JOBS}" --target micro_durable
+if ! ./build-asan/bench/micro_durable --sizes 8 \
+    --snapshot-dir "${DURABLE_DIR}" > "${DURABLE_LOG}" 2>&1; then
+  echo "build-then-restore parity check failed:"
+  cat "${DURABLE_LOG}"
+  exit 1
+fi
+echo "durability ok: restores byte-identical to reference; corruption falls back typed; build-then-restore matches live"
 
 echo "== overload: tbl_overload sweep under asan =="
 cmake --build build-asan -j "${JOBS}" --target tbl_overload

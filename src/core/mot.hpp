@@ -55,6 +55,11 @@ ChainOptions make_mot_chain_options(const MotOptions& options);
 // Display name encoding the configuration ("MOT", "MOT-LB", ...).
 std::string make_mot_name(const MotOptions& options);
 
+// Not thread-safe, although every query method is const: upward
+// sequences, cluster embeddings and de Bruijn routes are memoized
+// lazily into unsynchronized caches on first use. Give each thread its
+// own provider (the hierarchy and oracle under it may be shared), or
+// warm every cache a thread will touch before sharing one.
 class MotPathProvider final : public PathProvider {
  public:
   // `hierarchy` must outlive the provider.

@@ -20,10 +20,10 @@ namespace {
 
 constexpr std::uint32_t kSnapshotMagic = 0x53544f4du;  // 'MOTS' LE
 
+// Ids 1 and 3 held the node count and the hierarchy CSR in older files,
+// which may still be on disk: never reuse them.
 enum Field : std::uint32_t {
-  kFieldNumNodes = 1,
   kFieldFingerprint = 2,
-  kFieldHierarchy = 3,
   kFieldImage = 4,
 };
 
@@ -62,61 +62,6 @@ OverlayNode decode_overlay(wire::ByteReader& reader) {
   node.level = static_cast<int>(reader.svarint());
   node.node = static_cast<NodeId>(reader.varint());
   return node;
-}
-
-void encode_node_vector(wire::ByteWriter& writer,
-                        const std::vector<NodeId>& values) {
-  writer.varint(values.size());
-  for (const NodeId v : values) writer.varint(v);
-}
-
-bool decode_node_vector(wire::ByteReader& reader,
-                        std::vector<NodeId>* values) {
-  const std::uint64_t count = reader.varint();
-  if (!reader.ok() || !plausible_count(reader, count)) return false;
-  values->resize(static_cast<std::size_t>(count));
-  for (auto& v : *values) v = static_cast<NodeId>(reader.varint());
-  return reader.ok();
-}
-
-std::vector<std::uint8_t> encode_hierarchy(
-    const DoublingHierarchy::State& state) {
-  wire::ByteWriter writer;
-  writer.varint(state.num_nodes);
-  writer.varint(state.total_mis_rounds);
-  writer.varint(state.levels.size());
-  for (const auto& level : state.levels) {
-    encode_node_vector(writer, level.member_list);
-    writer.varint(level.parent_offsets.size());
-    for (const std::size_t offset : level.parent_offsets) {
-      writer.varint(offset);
-    }
-    encode_node_vector(writer, level.parent_data);
-    encode_node_vector(writer, level.default_parents);
-  }
-  return writer.take();
-}
-
-bool decode_hierarchy(std::span<const std::uint8_t> bytes,
-                      DoublingHierarchy::State* state) {
-  wire::ByteReader reader(bytes);
-  state->num_nodes = static_cast<std::size_t>(reader.varint());
-  state->total_mis_rounds = static_cast<std::size_t>(reader.varint());
-  const std::uint64_t num_levels = reader.varint();
-  if (!reader.ok() || !plausible_count(reader, num_levels)) return false;
-  state->levels.resize(static_cast<std::size_t>(num_levels));
-  for (auto& level : state->levels) {
-    if (!decode_node_vector(reader, &level.member_list)) return false;
-    const std::uint64_t num_offsets = reader.varint();
-    if (!reader.ok() || !plausible_count(reader, num_offsets)) return false;
-    level.parent_offsets.resize(static_cast<std::size_t>(num_offsets));
-    for (auto& offset : level.parent_offsets) {
-      offset = static_cast<std::size_t>(reader.varint());
-    }
-    if (!decode_node_vector(reader, &level.parent_data)) return false;
-    if (!decode_node_vector(reader, &level.default_parents)) return false;
-  }
-  return reader.ok() && reader.at_end();
 }
 
 std::vector<std::uint8_t> encode_image(const StateImage& image) {
@@ -231,11 +176,35 @@ const char* restore_error_name(RestoreError error) {
   return "?";
 }
 
+void StateImage::canonicalize() {
+  const auto by_object = [](const auto& a, const auto& b) {
+    return a.object < b.object;
+  };
+  for (RoleImage& role : roles) {
+    std::erase_if(role.sdl, [](const RoleImage::SdlEntry& entry) {
+      return entry.children.empty();
+    });
+    std::sort(role.dl.begin(), role.dl.end(), by_object);
+    std::sort(role.sdl.begin(), role.sdl.end(), by_object);
+  }
+  std::erase_if(roles, [](const RoleImage& role) {
+    return role.dl.empty() && role.sdl.empty();
+  });
+  std::sort(roles.begin(), roles.end(),
+            [](const RoleImage& a, const RoleImage& b) {
+              return std::pair(a.role.node, a.role.level) <
+                     std::pair(b.role.node, b.role.level);
+            });
+  std::sort(proxies.begin(), proxies.end());
+  std::sort(physical.begin(), physical.end());
+}
+
 std::uint64_t StateImage::digest() const {
   return fnv1a(encode_image(*this));
 }
 
-std::uint64_t world_fingerprint(const Graph& graph) {
+std::uint64_t world_fingerprint(const Graph& graph,
+                                const DoublingHierarchy& hierarchy) {
   std::uint64_t hash = fnv1a_u64(graph.num_nodes(), kFnvBasis);
   for (NodeId u = 0; u < graph.num_nodes(); ++u) {
     const auto neighbors = graph.neighbors(u);
@@ -244,6 +213,20 @@ std::uint64_t world_fingerprint(const Graph& graph) {
       hash = fnv1a_u64(edge.to, hash);
       hash = fnv1a_u64(std::bit_cast<std::uint64_t>(edge.weight), hash);
     }
+  }
+  const auto hash_all = [&hash](const auto& values) {
+    hash = fnv1a_u64(values.size(), hash);
+    for (const auto value : values) hash = fnv1a_u64(value, hash);
+  };
+  const DoublingHierarchy::State state = hierarchy.export_state();
+  hash = fnv1a_u64(state.num_nodes, hash);
+  hash = fnv1a_u64(state.total_mis_rounds, hash);
+  hash = fnv1a_u64(state.levels.size(), hash);
+  for (const DoublingHierarchy::LevelState& level : state.levels) {
+    hash_all(level.member_list);
+    hash_all(level.parent_offsets);
+    hash_all(level.parent_data);
+    hash_all(level.default_parents);
   }
   return hash;
 }
@@ -347,10 +330,8 @@ StateImage MutableState::to_image() const {
       out.dl.push_back({object, entry.child, entry.sp});
     }
     for (const auto& [object, children] : role.sdl) {
-      if (children.empty()) continue;
       out.sdl.push_back({object, children});
     }
-    if (out.dl.empty() && out.sdl.empty()) continue;  // canonical: no empties
     image.roles.push_back(std::move(out));
   }
   for (const auto& [object, node] : proxies_) {
@@ -359,17 +340,17 @@ StateImage MutableState::to_image() const {
   for (const auto& [object, node] : physical_) {
     image.physical.emplace_back(object, node);
   }
+  // The maps are already in canonical order; this drops the empty roles
+  // and SDL entries that wipes and removals leave behind.
+  image.canonicalize();
   return image;
 }
 
-std::vector<std::uint8_t> encode_snapshot(
-    std::uint64_t fingerprint, const DoublingHierarchy::State& hierarchy,
-    const StateImage& image) {
+std::vector<std::uint8_t> encode_snapshot(std::uint64_t fingerprint,
+                                          const StateImage& image) {
   wire::ByteWriter payload;
   payload.u8(static_cast<std::uint8_t>(kSnapshotFormatVersion));
-  payload.field_varint(kFieldNumNodes, hierarchy.num_nodes);
   payload.field_fixed64(kFieldFingerprint, fingerprint);
-  payload.field_bytes(kFieldHierarchy, encode_hierarchy(hierarchy));
   payload.field_bytes(kFieldImage, encode_image(image));
 
   std::vector<std::uint8_t> out(8 + payload.size());
@@ -400,31 +381,15 @@ SnapshotDecodeResult decode_snapshot(std::span<const std::uint8_t> bytes) {
     result.error = RestoreError::kBadVersion;
     return result;
   }
-  bool have_nodes = false, have_fingerprint = false;
-  bool have_hierarchy = false, have_image = false;
-  std::uint64_t num_nodes = 0;
+  bool have_fingerprint = false, have_image = false;
   std::uint32_t field_id = 0;
   wire::WireType type{};
   while (reader.next_field(&field_id, &type)) {
     switch (field_id) {
-      case kFieldNumNodes:
-        num_nodes = reader.varint();
-        have_nodes = true;
-        break;
       case kFieldFingerprint:
         result.fingerprint = reader.fixed64();
         have_fingerprint = true;
         break;
-      case kFieldHierarchy: {
-        const auto section = reader.length_delimited();
-        if (!reader.ok()) break;
-        if (!decode_hierarchy(section, &result.hierarchy)) {
-          result.error = RestoreError::kBadRecord;
-          return result;
-        }
-        have_hierarchy = true;
-        break;
-      }
       case kFieldImage: {
         const auto section = reader.length_delimited();
         if (!reader.ok()) break;
@@ -436,12 +401,11 @@ SnapshotDecodeResult decode_snapshot(std::span<const std::uint8_t> bytes) {
         break;
       }
       default:
-        reader.skip(type);  // future field from a newer writer
+        reader.skip(type);  // retired field, or one from a newer writer
         break;
     }
   }
-  if (!reader.ok() || !have_nodes || !have_fingerprint || !have_hierarchy ||
-      !have_image || result.hierarchy.num_nodes != num_nodes) {
+  if (!reader.ok() || !have_fingerprint || !have_image) {
     result.error = RestoreError::kBadRecord;
     return result;
   }

@@ -1,15 +1,16 @@
-// Versioned binary snapshot of the tracking world (DESIGN.md §14):
-// the DoublingHierarchy CSR state plus a canonical image of the chain /
-// detection-list state either engine (ChainTracker, DistributedMot)
-// exports. Restore = decode snapshot + replay the journal suffix onto a
+// Versioned binary snapshot of the tracking state (DESIGN.md §14): a
+// canonical image of the chain / detection-list state either engine
+// (ChainTracker, DistributedMot) exports, stamped with a fingerprint of
+// the world it lives over. The overlay itself is not stored: it is a
+// deterministic function of graph + seed, and the caller rebuilds it.
+// Restore = decode snapshot + check the fingerprint against the
+// caller's graph and hierarchy + replay the journal suffix onto a
 // MutableState, then hand the resulting image back to a fresh engine.
 //
-// The StateImage is *canonical*: roles sorted by (node, level), DL
-// entries sorted by object, proxy/physical maps sorted by object, empty
-// roles omitted. Two engines whose observable state is equal export
-// byte-equal images regardless of hash-map iteration history, which is
-// what makes image equality a usable parity oracle in tests and the
-// chaos harness.
+// The StateImage is *canonical* (see canonicalize()). Two engines whose
+// observable state is equal export byte-equal images regardless of
+// hash-map iteration history, which is what makes image equality a
+// usable parity oracle in tests and the chaos harness.
 #pragma once
 
 #include <cstdint>
@@ -32,8 +33,8 @@ enum class RestoreError : std::uint8_t {
   kBadVersion,     // format version 0 or outside [floor, current]
   kCrcMismatch,    // payload bytes fail the whole-file CRC
   kBadRecord,      // payload undecodable despite a good CRC
-  kWorldMismatch,  // snapshot was taken over a different graph
-  kBadSnapshot,    // decoded but structurally invalid (from_state, image)
+  kWorldMismatch,  // snapshot was taken over another graph or hierarchy
+  kBadSnapshot,    // image names a role or node the hierarchy lacks
   kReplayFailed,   // a journal record did not apply cleanly
   kJournalError,   // journal unreadable (see JournalError)
 };
@@ -71,6 +72,12 @@ struct StateImage {
   std::vector<std::pair<std::uint32_t, NodeId>> proxies;
   std::vector<std::pair<std::uint32_t, NodeId>> physical;
 
+  // Puts the image in canonical order: roles sorted by (node, level),
+  // DL and SDL entries sorted by object, empty SDL entries and empty
+  // roles dropped, proxy/physical maps sorted by object. Engines export
+  // in hash-map iteration order and call this once.
+  void canonicalize();
+
   // FNV-1a over the canonical encoding: equal images, equal digests.
   std::uint64_t digest() const;
 
@@ -106,27 +113,30 @@ class MutableState {
   std::map<std::uint32_t, NodeId> physical_;
 };
 
-// Fingerprint of the network the state lives over (node count plus the
-// weighted adjacency). A snapshot only restores onto the same world.
-std::uint64_t world_fingerprint(const Graph& graph);
+// Fingerprint of the world the state lives over: the network (node
+// count plus weighted adjacency) and the overlay built on it (its whole
+// export_state()). A snapshot only restores onto the same graph and the
+// same hierarchy; a hierarchy built with another seed does not match.
+std::uint64_t world_fingerprint(const Graph& graph,
+                                const DoublingHierarchy& hierarchy);
 
 // --- Snapshot file codec ---------------------------------------------
 //
 //   [u32 magic 'MOTS'][u32 crc32 over payload][payload]
 //   payload = u8 version, then tagged fields:
-//     1 varint num_nodes           2 fixed64 world_fingerprint
-//     3 bytes  hierarchy section   4 bytes  state-image section
+//     2 fixed64 world_fingerprint   4 bytes state-image section
 // Unknown payload fields are skipped, so additive format growth keeps
-// old snapshots loadable (same contract as the wire frames).
+// old snapshots loadable (same contract as the wire frames). Fields 1
+// (node count) and 3 (hierarchy CSR) are retired: older snapshots still
+// decode, and their graph-only fingerprint then reads as a world
+// mismatch, which takes the typed rebuild fallback.
 
-std::vector<std::uint8_t> encode_snapshot(
-    std::uint64_t fingerprint, const DoublingHierarchy::State& hierarchy,
-    const StateImage& image);
+std::vector<std::uint8_t> encode_snapshot(std::uint64_t fingerprint,
+                                          const StateImage& image);
 
 struct SnapshotDecodeResult {
   RestoreError error = RestoreError::kNone;
   std::uint64_t fingerprint = 0;
-  DoublingHierarchy::State hierarchy;
   StateImage image;
 };
 

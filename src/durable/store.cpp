@@ -2,6 +2,7 @@
 
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <cerrno>
 
 #include "obs/flight_recorder.hpp"
@@ -10,6 +11,36 @@
 namespace mot::durable {
 
 namespace {
+
+// True when every overlay node the image names is a role of
+// `hierarchy` and every object sits on a node of its graph: what the
+// engines' restore_durable_image() indexes without further checks.
+bool fits_hierarchy(const StateImage& image,
+                    const DoublingHierarchy& hierarchy) {
+  const std::size_t n = hierarchy.graph().num_nodes();
+  const auto is_role = [&](const OverlayNode& role) {
+    return role.level >= 0 && role.level <= hierarchy.height() &&
+           role.node < n && hierarchy.is_member(role.level, role.node);
+  };
+  for (const RoleImage& role : image.roles) {
+    if (!is_role(role.role)) return false;
+    for (const auto& entry : role.dl) {
+      if (!is_role(entry.child)) return false;
+      if (entry.sp.has_value() && !is_role(*entry.sp)) return false;
+    }
+    for (const auto& entry : role.sdl) {
+      if (!std::all_of(entry.children.begin(), entry.children.end(),
+                       is_role)) {
+        return false;
+      }
+    }
+  }
+  const auto on_graph = [n](const auto& position) {
+    return position.second < n;
+  };
+  return std::all_of(image.proxies.begin(), image.proxies.end(), on_graph) &&
+         std::all_of(image.physical.begin(), image.physical.end(), on_graph);
+}
 
 void set_counter(obs::MetricsRegistry& registry, const std::string& name,
                  const obs::Labels& labels, std::uint64_t value) {
@@ -57,8 +88,8 @@ void DurableStore::commit() {
 bool DurableStore::write_snapshot(const Graph& graph,
                                   const DoublingHierarchy& hierarchy,
                                   const StateImage& image) {
-  const std::vector<std::uint8_t> bytes = encode_snapshot(
-      world_fingerprint(graph), hierarchy.export_state(), image);
+  const std::vector<std::uint8_t> bytes =
+      encode_snapshot(world_fingerprint(graph, hierarchy), image);
   if (!write_snapshot_file(snapshot_path(), bytes)) return false;
   stats_.snapshot_bytes = bytes.size();
   ++stats_.snapshots_written;
@@ -70,12 +101,13 @@ bool DurableStore::write_snapshot(const Graph& graph,
   return true;
 }
 
-DurableStore::RestoreResult DurableStore::restore(const Graph& graph) {
+DurableStore::RestoreResult DurableStore::restore(
+    const Graph& graph, const DoublingHierarchy& hierarchy) {
   RestoreResult result;
   SnapshotDecodeResult snapshot = read_snapshot_file(snapshot_path());
   result.error = snapshot.error;
   if (result.error == RestoreError::kNone &&
-      snapshot.fingerprint != world_fingerprint(graph)) {
+      snapshot.fingerprint != world_fingerprint(graph, hierarchy)) {
     result.error = RestoreError::kWorldMismatch;
   }
   if (result.error == RestoreError::kNone) {
@@ -99,9 +131,13 @@ DurableStore::RestoreResult DurableStore::restore(const Graph& graph) {
         ++result.journal_replayed;
       }
       if (result.error == RestoreError::kNone) {
-        result.hierarchy = std::move(snapshot.hierarchy);
         result.image = state.to_image();
-        stats_.journal_replayed += result.journal_replayed;
+        if (fits_hierarchy(result.image, hierarchy)) {
+          stats_.journal_replayed += result.journal_replayed;
+        } else {
+          result.error = RestoreError::kBadSnapshot;
+          result.image = StateImage{};
+        }
       }
     }
   }

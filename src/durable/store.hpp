@@ -1,17 +1,19 @@
 // DurableStore: the durability engine behind the Sink interface the
 // trackers journal into. Owns one directory holding
 //
-//   snapshot.mot   versioned snapshot (hierarchy CSR + state image)
+//   snapshot.mot   versioned snapshot (state image + world fingerprint)
 //   journal.mot    append-only semantic journal since that snapshot
 //
 // and implements the recovery state machine of DESIGN.md §14:
 //
-//   restore():  read snapshot -> verify CRC/version/world fingerprint
-//               -> read journal (torn tail dropped) -> strictly replay
-//               the suffix onto the snapshot image. Any typed failure
-//               dumps the flight ring and reports the error; the caller
-//               falls back to the rebuild-from-physical-positions path
-//               and then write_snapshot() to re-ground the store.
+//   restore():  read snapshot -> verify CRC/version, and the world
+//               fingerprint against the caller's graph + hierarchy ->
+//               read journal (torn tail dropped) -> strictly replay the
+//               suffix onto the snapshot image -> check every role and
+//               node the image names exists in the hierarchy. Any typed
+//               failure dumps the flight ring and reports the error; the
+//               caller falls back to the rebuild-from-physical-positions
+//               path and then write_snapshot() to re-ground the store.
 //   write_snapshot(): tmp + fsync + rename, then truncate the journal —
 //               snapshot-triggered compaction; the journal only ever
 //               holds the suffix since the last good snapshot.
@@ -63,24 +65,27 @@ class DurableStore final : public Sink {
   // Group-commit point (e.g. end of a chaos round / batch flush).
   void commit();
 
-  // Snapshots the hierarchy + image and compacts the journal.
+  // Snapshots the image, stamped with the fingerprint of graph +
+  // hierarchy, and compacts the journal.
   bool write_snapshot(const Graph& graph, const DoublingHierarchy& hierarchy,
                       const StateImage& image);
 
   struct RestoreResult {
     RestoreError error = RestoreError::kNone;
     JournalError journal_error = JournalError::kNone;  // with kJournalError
-    DoublingHierarchy::State hierarchy;
     StateImage image;                    // snapshot + replayed suffix
     std::size_t journal_replayed = 0;
 
     bool restored() const { return error == RestoreError::kNone; }
   };
 
-  // Loads the durable state for a world matching `graph`. On failure the
-  // flight ring is dumped (reason "restore-failure") and the caller is
-  // expected to rebuild and then write_snapshot() to re-ground.
-  RestoreResult restore(const Graph& graph);
+  // Loads the durable state for the world of `graph` and the caller's
+  // `hierarchy` over it (built first; the snapshot does not store it).
+  // On failure the flight ring is dumped (reason "restore-failure") and
+  // the caller is expected to rebuild and then write_snapshot() to
+  // re-ground.
+  RestoreResult restore(const Graph& graph,
+                        const DoublingHierarchy& hierarchy);
 
   const DurableStats& stats() const { return stats_; }
 

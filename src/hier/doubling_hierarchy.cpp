@@ -160,100 +160,6 @@ DoublingHierarchy::State DoublingHierarchy::export_state() const {
   return state;
 }
 
-std::unique_ptr<DoublingHierarchy> DoublingHierarchy::from_state(
-    const Graph& graph, const DistanceOracle& oracle, const State& state) {
-  const std::size_t n = graph.num_nodes();
-  // Structural validation first; the state came off a disk and gets no
-  // benefit of the doubt. Everything checked here is what group()/home()
-  // index into without further bounds checks.
-  if (n < 1 || state.num_nodes != n) return nullptr;
-  if (state.levels.empty()) return nullptr;
-  if (state.levels.back().member_list.size() != 1) return nullptr;
-  for (std::size_t l = 0; l < state.levels.size(); ++l) {
-    const LevelState& level = state.levels[l];
-    if (level.member_list.empty()) return nullptr;
-    if (!std::is_sorted(level.member_list.begin(), level.member_list.end())) {
-      return nullptr;
-    }
-    for (const NodeId v : level.member_list) {
-      if (v >= n) return nullptr;
-    }
-    if (l == 0) {
-      // Bottom level must be the identity: group(u, 0) aliases slot u.
-      if (level.member_list.size() != n) return nullptr;
-      if (!level.parent_offsets.empty() || !level.parent_data.empty() ||
-          !level.default_parents.empty()) {
-        return nullptr;
-      }
-      continue;
-    }
-    const LevelState& lower = state.levels[l - 1];
-    const std::size_t lower_count = lower.member_list.size();
-    // Members of level l must be a subset of level l-1 (nested MIS).
-    for (const NodeId v : level.member_list) {
-      if (!std::binary_search(lower.member_list.begin(),
-                              lower.member_list.end(), v)) {
-        return nullptr;
-      }
-    }
-    // CSR shape: one offset range and one default parent per lower slot;
-    // every parent set non-empty, sorted, drawn from this level's
-    // members, and containing the default parent.
-    if (level.parent_offsets.size() != lower_count + 1) return nullptr;
-    if (level.default_parents.size() != lower_count) return nullptr;
-    if (level.parent_offsets.front() != 0 ||
-        level.parent_offsets.back() != level.parent_data.size()) {
-      return nullptr;
-    }
-    for (std::size_t s = 0; s < lower_count; ++s) {
-      const std::size_t begin = level.parent_offsets[s];
-      const std::size_t end = level.parent_offsets[s + 1];
-      if (begin > end || end > level.parent_data.size()) return nullptr;
-      if (begin == end) return nullptr;
-      const auto first = level.parent_data.begin() + begin;
-      const auto last = level.parent_data.begin() + end;
-      if (!std::is_sorted(first, last)) return nullptr;
-      for (auto it = first; it != last; ++it) {
-        if (!std::binary_search(level.member_list.begin(),
-                                level.member_list.end(), *it)) {
-          return nullptr;
-        }
-      }
-      if (!std::binary_search(first, last, level.default_parents[s])) {
-        return nullptr;
-      }
-    }
-  }
-
-  auto hierarchy = std::unique_ptr<DoublingHierarchy>(new DoublingHierarchy());
-  hierarchy->graph_ = &graph;
-  hierarchy->oracle_ = &oracle;
-  hierarchy->total_mis_rounds_ = state.total_mis_rounds;
-  hierarchy->levels_.reserve(state.levels.size());
-  for (const LevelState& in : state.levels) {
-    Level level;
-    level.member_list = in.member_list;
-    level.parent_offsets = in.parent_offsets;
-    level.parent_data = in.parent_data;
-    level.default_parents = in.default_parents;
-    level.membership.assign(n, false);
-    level.slot.assign(n, kNoSlot);
-    for (std::uint32_t i = 0; i < level.member_list.size(); ++i) {
-      const NodeId v = level.member_list[i];
-      level.membership[v] = true;
-      level.slot[v] = i;
-    }
-    hierarchy->levels_.push_back(std::move(level));
-  }
-  hierarchy->cluster_slots_ = std::vector<
-      std::atomic<const std::vector<NodeId>*>>(
-      static_cast<std::size_t>(hierarchy->height() + 1) * n);
-  for (auto& slot : hierarchy->cluster_slots_) {
-    slot.store(nullptr, std::memory_order_relaxed);
-  }
-  return hierarchy;
-}
-
 NodeId DoublingHierarchy::root() const {
   MOT_CHECK(levels_.back().member_list.size() == 1);
   return levels_.back().member_list[0];

@@ -44,9 +44,10 @@ class DoublingHierarchy final : public Hierarchy {
 
   // Value-typed image of the built overlay: exactly the per-level CSR
   // arrays (members, parent sets, default parents) that build() derives
-  // from the MIS refinement — the expensive part of construction. The
-  // derived indexes (membership bitmaps, dense slots, cluster cache) are
-  // recomputed on restore. This is what the durable snapshot persists.
+  // from the MIS refinement, without the derived indexes (membership
+  // bitmaps, dense slots, cluster cache). Golden tests digest it, and
+  // the durable layer fingerprints it so a snapshot only restores onto
+  // the overlay it was taken over.
   struct LevelState {
     std::vector<NodeId> member_list;
     std::vector<std::size_t> parent_offsets;
@@ -64,14 +65,6 @@ class DoublingHierarchy final : public Hierarchy {
   };
 
   State export_state() const;
-
-  // Reconstructs a hierarchy from an exported state without re-running
-  // the MIS refinement. The state is untrusted (it crossed a disk):
-  // structural validation failures return nullptr, never abort. `graph`
-  // and `oracle` must describe the same network the state was exported
-  // from (the durable layer checks a world fingerprint before calling).
-  static std::unique_ptr<DoublingHierarchy> from_state(
-      const Graph& graph, const DistanceOracle& oracle, const State& state);
 
   int height() const override { return static_cast<int>(levels_.size()) - 1; }
   NodeId root() const override;

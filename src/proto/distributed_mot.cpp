@@ -2278,36 +2278,20 @@ durable::StateImage DistributedMot::export_durable_image() const {
         role.dl.push_back({object, entry.child, entry.sp});
       }
       for (const auto& [object, children] : role_state.sdl) {
-        if (children.empty()) continue;
         role.sdl.push_back({object, children});
       }
-      if (role.dl.empty() && role.sdl.empty()) continue;
-      // Canonical order: FlatMap / hash-map iteration order above depends
-      // on insertion history, which is not observable state.
-      std::sort(role.dl.begin(), role.dl.end(), [](const auto& a,
-                                                   const auto& b) {
-        return a.object < b.object;
-      });
-      std::sort(role.sdl.begin(), role.sdl.end(), [](const auto& a,
-                                                     const auto& b) {
-        return a.object < b.object;
-      });
       image.roles.push_back(std::move(role));
     }
   }
-  std::sort(image.roles.begin(), image.roles.end(),
-            [](const durable::RoleImage& a, const durable::RoleImage& b) {
-              return std::pair(a.role.node, a.role.level) <
-                     std::pair(b.role.node, b.role.level);
-            });
   for (const auto& [object, proxy] : proxies_) {
     image.proxies.emplace_back(object, proxy);
   }
-  std::sort(image.proxies.begin(), image.proxies.end());
   for (const auto& [object, at] : physical_) {
     image.physical.emplace_back(object, at);
   }
-  std::sort(image.physical.begin(), image.physical.end());
+  // FlatMap / hash-map iteration order above depends on insertion
+  // history, which is not observable state.
+  image.canonicalize();
   return image;
 }
 
@@ -2390,14 +2374,19 @@ std::vector<std::string> DistributedMot::invariant_violations() const {
       }
     }
   }
-  for (const auto& [object, proxy] : proxies_) {
-    std::size_t total = 0;
-    for (const SensorState& sensor : sensors_) {
-      for (const auto& [level, role] : sensor.roles) {
-        (void)level;
-        total += role.dl.count(object);
+  // Detection-list entries per object, counted in one pass.
+  std::unordered_map<ObjectId, std::size_t> entries;
+  for (const SensorState& sensor : sensors_) {
+    for (const auto& [level, role] : sensor.roles) {
+      (void)level;
+      for (const auto& [object, entry] : role.dl) {
+        (void)entry;
+        ++entries[object];
       }
     }
+  }
+  for (const auto& [object, proxy] : proxies_) {
+    const std::size_t total = entries[object];
     // Walk root -> proxy; every detection-list entry must sit on the
     // walked chain, otherwise entries are orphaned.
     OverlayNode current = provider_->root_stop();

@@ -476,27 +476,16 @@ durable::StateImage ChainTracker::export_durable_image() const {
       role.dl.push_back({object, entry.child, entry.sp});
     }
     for (const auto& [object, children] : node.sdl) {
-      if (children.empty()) continue;
       role.sdl.push_back({object, children});
     }
-    if (role.dl.empty() && role.sdl.empty()) continue;
-    // Canonical order: the FlatMap / hash-map iteration order above
-    // depends on insertion history, which is not observable state.
-    std::sort(role.dl.begin(), role.dl.end(),
-              [](const auto& a, const auto& b) { return a.object < b.object; });
-    std::sort(role.sdl.begin(), role.sdl.end(),
-              [](const auto& a, const auto& b) { return a.object < b.object; });
     image.roles.push_back(std::move(role));
   }
-  std::sort(image.roles.begin(), image.roles.end(),
-            [](const durable::RoleImage& a, const durable::RoleImage& b) {
-              return std::pair(a.role.node, a.role.level) <
-                     std::pair(b.role.node, b.role.level);
-            });
   for (const auto& [object, proxy] : proxies_) {
     image.proxies.emplace_back(object, proxy);
   }
-  std::sort(image.proxies.begin(), image.proxies.end());
+  // The FlatMap / hash-map iteration order above depends on insertion
+  // history, which is not observable state.
+  image.canonicalize();
   image.physical = image.proxies;  // sequential engine: no in-flight moves
   return image;
 }

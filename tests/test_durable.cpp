@@ -2,15 +2,21 @@
 // journal record round-trip with unknown-field skip, the journal file's
 // failure taxonomy (torn tail silently dropped, complete-frame rot
 // typed, garbage typed — never UB), snapshot round-trip + hardening,
-// MutableState replay strictness, DoublingHierarchy state rehydration,
-// and end-to-end restore parity for both tracking engines.
+// MutableState replay strictness, the world fingerprint that binds a
+// snapshot to the caller's graph + hierarchy, typed refusal of images
+// the hierarchy cannot hold, and end-to-end restore parity for both
+// tracking engines.
 #include "durable/store.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/mot.hpp"
@@ -23,6 +29,7 @@
 #include "sim/event_sim.hpp"
 #include "tracking/chain_tracker.hpp"
 #include "util/rng.hpp"
+#include "wire/codec.hpp"
 
 namespace mot {
 namespace {
@@ -376,21 +383,20 @@ struct SnapshotWorld {
 TEST(Snapshot, EncodeDecodeRoundTrip) {
   const SnapshotWorld world;
   const StateImage image = world.sample_image();
-  const std::uint64_t fp = durable::world_fingerprint(world.graph);
-  const Bytes bytes =
-      durable::encode_snapshot(fp, world.hierarchy->export_state(), image);
+  const std::uint64_t fp =
+      durable::world_fingerprint(world.graph, *world.hierarchy);
+  const Bytes bytes = durable::encode_snapshot(fp, image);
   const durable::SnapshotDecodeResult result = durable::decode_snapshot(bytes);
   ASSERT_EQ(result.error, RestoreError::kNone);
   EXPECT_EQ(result.fingerprint, fp);
-  EXPECT_EQ(result.hierarchy, world.hierarchy->export_state());
   EXPECT_EQ(result.image, image);
 }
 
 TEST(Snapshot, EveryTruncationYieldsTypedErrorNeverCrash) {
   const SnapshotWorld world;
   const Bytes bytes = durable::encode_snapshot(
-      durable::world_fingerprint(world.graph),
-      world.hierarchy->export_state(), world.sample_image());
+      durable::world_fingerprint(world.graph, *world.hierarchy),
+      world.sample_image());
   for (std::size_t keep = 0; keep < bytes.size(); ++keep) {
     const Bytes cut(bytes.begin(),
                     bytes.begin() + static_cast<std::ptrdiff_t>(keep));
@@ -402,8 +408,8 @@ TEST(Snapshot, EveryTruncationYieldsTypedErrorNeverCrash) {
 TEST(Snapshot, BitRotIsCaughtByWholeFileCrc) {
   const SnapshotWorld world;
   Bytes bytes = durable::encode_snapshot(
-      durable::world_fingerprint(world.graph),
-      world.hierarchy->export_state(), world.sample_image());
+      durable::world_fingerprint(world.graph, *world.hierarchy),
+      world.sample_image());
   Rng rng(13);
   for (int trial = 0; trial < 64; ++trial) {
     Bytes bad = bytes;
@@ -418,8 +424,8 @@ TEST(Snapshot, BitRotIsCaughtByWholeFileCrc) {
 TEST(Snapshot, BadMagicAndBadVersionAreTyped) {
   const SnapshotWorld world;
   const Bytes bytes = durable::encode_snapshot(
-      durable::world_fingerprint(world.graph),
-      world.hierarchy->export_state(), world.sample_image());
+      durable::world_fingerprint(world.graph, *world.hierarchy),
+      world.sample_image());
   Bytes bad = bytes;
   bad[0] ^= 0xff;
   EXPECT_EQ(durable::decode_snapshot(bad).error, RestoreError::kBadMagic);
@@ -442,9 +448,9 @@ TEST(Snapshot, DecoderSkipsUnknownPayloadFields) {
   // current decoder must step over it and load the fields it knows.
   const SnapshotWorld world;
   const StateImage image = world.sample_image();
-  const std::uint64_t fp = durable::world_fingerprint(world.graph);
-  Bytes bytes =
-      durable::encode_snapshot(fp, world.hierarchy->export_state(), image);
+  const std::uint64_t fp =
+      durable::world_fingerprint(world.graph, *world.hierarchy);
+  Bytes bytes = durable::encode_snapshot(fp, image);
   bytes.push_back(0x78);  // tag 15, varint
   bytes.push_back(0x07);
   const std::uint32_t crc = durable::crc32(
@@ -463,8 +469,8 @@ TEST(Snapshot, DecoderSkipsUnknownPayloadFields) {
 TEST(Snapshot, WriteFileIsAtomicAndReadsBack) {
   const SnapshotWorld world;
   const Bytes bytes = durable::encode_snapshot(
-      durable::world_fingerprint(world.graph),
-      world.hierarchy->export_state(), world.sample_image());
+      durable::world_fingerprint(world.graph, *world.hierarchy),
+      world.sample_image());
   const std::string path = temp_path("mot_snapshot_test.mot");
   ASSERT_TRUE(durable::write_snapshot_file(path, bytes));
   const durable::SnapshotDecodeResult result =
@@ -473,36 +479,6 @@ TEST(Snapshot, WriteFileIsAtomicAndReadsBack) {
   std::filesystem::remove(path);
   EXPECT_EQ(durable::read_snapshot_file(path).error,
             RestoreError::kNoSnapshot);
-}
-
-// --- Hierarchy state rehydration ---------------------------------------
-
-TEST(Snapshot, HierarchyFromStateMatchesBuild) {
-  const SnapshotWorld world;
-  const DoublingHierarchy::State state = world.hierarchy->export_state();
-  const std::unique_ptr<DoublingHierarchy> again =
-      DoublingHierarchy::from_state(world.graph, *world.oracle, state);
-  ASSERT_NE(again, nullptr);
-  // Same CSR back out, and the derived query surface agrees everywhere.
-  EXPECT_EQ(again->export_state(), state);
-  EXPECT_EQ(again->height(), world.hierarchy->height());
-  EXPECT_EQ(again->root(), world.hierarchy->root());
-  for (NodeId u = 0; u < world.graph.num_nodes(); ++u) {
-    for (int level = 0; level <= world.hierarchy->height(); ++level) {
-      EXPECT_EQ(again->home(u, level), world.hierarchy->home(u, level));
-    }
-  }
-}
-
-TEST(Snapshot, InvalidHierarchyStateIsRejectedNotFatal) {
-  const SnapshotWorld world;
-  DoublingHierarchy::State state = world.hierarchy->export_state();
-  state.levels.back().member_list = {kInvalidNode};
-  EXPECT_EQ(DoublingHierarchy::from_state(world.graph, *world.oracle, state),
-            nullptr);
-  DoublingHierarchy::State empty;
-  EXPECT_EQ(DoublingHierarchy::from_state(world.graph, *world.oracle, empty),
-            nullptr);
 }
 
 // --- DurableStore end-to-end -------------------------------------------
@@ -566,10 +542,10 @@ TEST_F(DurableStoreTest, ChainTrackerRestoreParity) {
   }
   store.commit();
 
-  const DurableStore::RestoreResult restored = store.restore(world.graph);
+  const DurableStore::RestoreResult restored =
+      store.restore(world.graph, *world.hierarchy);
   ASSERT_EQ(restored.error, RestoreError::kNone);
   EXPECT_GT(restored.journal_replayed, 0u);
-  EXPECT_EQ(restored.hierarchy, world.hierarchy->export_state());
   EXPECT_EQ(restored.image, live.export_durable_image());
 
   ChainTracker revived("mot", *world.provider, world.chain_options);
@@ -629,7 +605,8 @@ TEST_F(DurableStoreTest, SnapshotCompactsTheJournal) {
                                    live.export_durable_image()));
   // Compaction: the journal is a bare header again; restore replays 0.
   EXPECT_TRUE(durable::read_journal(store.journal_path()).records.empty());
-  const DurableStore::RestoreResult restored = store.restore(world.graph);
+  const DurableStore::RestoreResult restored =
+      store.restore(world.graph, *world.hierarchy);
   ASSERT_EQ(restored.error, RestoreError::kNone);
   EXPECT_EQ(restored.journal_replayed, 0u);
   EXPECT_EQ(restored.image, live.export_durable_image());
@@ -641,7 +618,8 @@ TEST_F(DurableStoreTest, MissingSnapshotIsTyped) {
   DurableStore store({dir_, FsyncMode::kGroup});
   ASSERT_TRUE(store.ok());
   const TrackerWorld world;
-  const DurableStore::RestoreResult restored = store.restore(world.graph);
+  const DurableStore::RestoreResult restored =
+      store.restore(world.graph, *world.hierarchy);
   EXPECT_EQ(restored.error, RestoreError::kNoSnapshot);
   // First boot is not a failure: no fallback is counted and nothing is
   // dumped — only present-but-unusable data trips the fallback meters.
@@ -657,9 +635,173 @@ TEST_F(DurableStoreTest, WorldMismatchIsRefused) {
   live.publish(0, 5);
   ASSERT_TRUE(store.write_snapshot(world.graph, *world.hierarchy,
                                    live.export_durable_image()));
-  // A different network must not accept this snapshot.
-  const Graph other = make_grid(5, 5);
-  EXPECT_EQ(store.restore(other).error, RestoreError::kWorldMismatch);
+  // A different network (and the overlay built on it) must not accept
+  // this snapshot.
+  const TrackerWorld other(5);
+  EXPECT_EQ(store.restore(other.graph, *other.hierarchy).error,
+            RestoreError::kWorldMismatch);
+  EXPECT_EQ(store.stats().restore_fallbacks, 1u);
+}
+
+TEST_F(DurableStoreTest, HierarchyFromAnotherSeedIsWorldMismatch) {
+  const TrackerWorld world;
+  DurableStore store({dir_, FsyncMode::kGroup});
+  ASSERT_TRUE(store.ok());
+  ChainTracker live("mot", *world.provider, world.chain_options);
+  live.use_durability(&store);
+  live.publish(0, 5);
+  ASSERT_TRUE(store.write_snapshot(world.graph, *world.hierarchy,
+                                   live.export_durable_image()));
+  // Same graph, another overlay: the image's roles would not mean the
+  // same sensors, so the fingerprint must refuse it.
+  DoublingHierarchy::Params hp;
+  hp.seed = 8;
+  const auto reseeded = DoublingHierarchy::build(world.graph, *world.oracle, hp);
+  ASSERT_NE(reseeded->export_state(), world.hierarchy->export_state());
+  EXPECT_EQ(store.restore(world.graph, *reseeded).error,
+            RestoreError::kWorldMismatch);
+  // The overlay the snapshot was taken over still restores.
+  EXPECT_EQ(store.restore(world.graph, *world.hierarchy).error,
+            RestoreError::kNone);
+}
+
+// FNV-1a over node count and weighted adjacency: the graph-only world
+// fingerprint that snapshots carrying the hierarchy CSR were stamped with.
+std::uint64_t graph_only_fingerprint(const Graph& graph) {
+  std::uint64_t hash = 14695981039346656037ull;
+  const auto mix = [&hash](std::uint64_t value) {
+    for (int i = 0; i < 8; ++i, value >>= 8) {
+      hash = (hash ^ (value & 0xffu)) * 1099511628211ull;
+    }
+  };
+  mix(graph.num_nodes());
+  for (NodeId u = 0; u < graph.num_nodes(); ++u) {
+    mix(graph.neighbors(u).size());
+    for (const auto& edge : graph.neighbors(u)) {
+      mix(edge.to);
+      mix(std::bit_cast<std::uint64_t>(edge.weight));
+    }
+  }
+  return hash;
+}
+
+TEST_F(DurableStoreTest, OldLayoutSnapshotIsWorldMismatch) {
+  const TrackerWorld world;
+  DurableStore store({dir_, FsyncMode::kGroup});
+  ASSERT_TRUE(store.ok());
+  ChainTracker live("mot", *world.provider, world.chain_options);
+  live.publish(0, 5);
+  live.publish(1, 40);
+
+  // Lift the state-image section out of a current snapshot.
+  const Bytes current = durable::encode_snapshot(
+      durable::world_fingerprint(world.graph, *world.hierarchy),
+      live.export_durable_image());
+  wire::ByteReader reader(
+      std::span<const std::uint8_t>(current.data() + 8, current.size() - 8));
+  reader.u8();  // format version
+  std::span<const std::uint8_t> image_section;
+  std::uint32_t field_id = 0;
+  wire::WireType type{};
+  while (reader.next_field(&field_id, &type)) {
+    if (field_id == 4) {
+      image_section = reader.length_delimited();
+    } else {
+      reader.skip(type);
+    }
+  }
+  ASSERT_TRUE(reader.ok());
+  ASSERT_FALSE(image_section.empty());
+
+  // The older layout: node count, graph-only fingerprint, a hierarchy
+  // CSR blob in field 3, then the image.
+  wire::ByteWriter payload;
+  payload.u8(static_cast<std::uint8_t>(durable::kSnapshotFormatVersion));
+  payload.field_varint(1, world.graph.num_nodes());
+  payload.field_fixed64(2, graph_only_fingerprint(world.graph));
+  const Bytes csr_blob = {3, 1, 2, 64, 0, 9, 9, 9};
+  payload.field_bytes(3, csr_blob);
+  payload.field_bytes(4, image_section);
+  wire::ByteWriter file;
+  file.bytes(std::span<const std::uint8_t>(current.data(), 4));  // magic
+  file.fixed32(durable::crc32(payload.data()));
+  file.bytes(payload.data());
+  const Bytes old_layout = file.take();
+
+  // It still decodes: the retired fields are skipped as unknown ones.
+  const durable::SnapshotDecodeResult decoded =
+      durable::decode_snapshot(old_layout);
+  ASSERT_EQ(decoded.error, RestoreError::kNone);
+  EXPECT_EQ(decoded.image, live.export_durable_image());
+
+  // Restore refuses it typed: the fingerprint names only the graph.
+  ASSERT_TRUE(durable::write_snapshot_file(store.snapshot_path(), old_layout));
+  EXPECT_EQ(store.restore(world.graph, *world.hierarchy).error,
+            RestoreError::kWorldMismatch);
+}
+
+// Overlay nodes the test hierarchy does not hold, by each way an image
+// from disk can name one.
+TEST_F(DurableStoreTest, ImageOutsideTheHierarchyIsBadSnapshot) {
+  const TrackerWorld world;
+  const DoublingHierarchy& hierarchy = *world.hierarchy;
+  const auto n = static_cast<NodeId>(world.graph.num_nodes());
+  NodeId non_member = 0;
+  while (hierarchy.is_member(1, non_member)) ++non_member;
+  ASSERT_LT(non_member, n);
+  const OverlayNode good{0, 5};
+
+  const auto with_role = [&](OverlayNode role, OverlayNode child,
+                             std::optional<OverlayNode> sp) {
+    StateImage image;
+    image.roles.push_back({role, {{0, child, sp}}, {}});
+    image.proxies = {{0, 5}};
+    image.physical = {{0, 5}};
+    return image;
+  };
+  std::vector<std::pair<std::string, StateImage>> cases = {
+      {"role node >= n", with_role({0, n}, good, std::nullopt)},
+      {"role level > height",
+       with_role({hierarchy.height() + 1, 0}, good, std::nullopt)},
+      {"role level < 0", with_role({-1, 5}, good, std::nullopt)},
+      {"role not a member of its level",
+       with_role({1, non_member}, good, std::nullopt)},
+      {"child not a member", with_role(good, {1, non_member}, std::nullopt)},
+      {"special parent not a member",
+       with_role(good, good, OverlayNode{1, non_member})},
+  };
+  StateImage sdl_child = with_role(good, good, std::nullopt);
+  sdl_child.roles[0].sdl.push_back({0, {good, {1, non_member}}});
+  cases.emplace_back("SDL child not a member", sdl_child);
+  StateImage proxy = with_role(good, good, std::nullopt);
+  proxy.proxies = {{0, n}};
+  cases.emplace_back("proxy node >= n", proxy);
+  StateImage physical = with_role(good, good, std::nullopt);
+  physical.physical = {{0, n + 3}};
+  cases.emplace_back("physical node >= n", physical);
+
+  std::uint64_t fallbacks = 0;
+  for (const auto& [name, image] : cases) {
+    DurableStore store({dir_, FsyncMode::kGroup});
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE(store.write_snapshot(world.graph, hierarchy, image)) << name;
+    const DurableStore::RestoreResult restored =
+        store.restore(world.graph, hierarchy);
+    EXPECT_EQ(restored.error, RestoreError::kBadSnapshot) << name;
+    EXPECT_EQ(restored.image, StateImage{}) << name;
+    fallbacks += store.stats().restore_fallbacks;
+  }
+  EXPECT_EQ(fallbacks, cases.size());
+
+  // The same shape inside the hierarchy restores.
+  DurableStore store({dir_, FsyncMode::kGroup});
+  ASSERT_TRUE(store.ok());
+  const StateImage image = with_role(good, good, std::nullopt);
+  ASSERT_TRUE(store.write_snapshot(world.graph, hierarchy, image));
+  const DurableStore::RestoreResult restored =
+      store.restore(world.graph, hierarchy);
+  ASSERT_EQ(restored.error, RestoreError::kNone);
+  EXPECT_EQ(restored.image, image);
 }
 
 TEST_F(DurableStoreTest, CorruptJournalFallsBackTyped) {
@@ -679,7 +821,8 @@ TEST_F(DurableStoreTest, CorruptJournalFallsBackTyped) {
   ASSERT_GT(bytes.size(), 14u);
   bytes[13] ^= 0x20;
   write_file(store.journal_path(), bytes);
-  const DurableStore::RestoreResult restored = store.restore(world.graph);
+  const DurableStore::RestoreResult restored =
+      store.restore(world.graph, *world.hierarchy);
   EXPECT_EQ(restored.error, RestoreError::kJournalError);
   EXPECT_NE(restored.journal_error, JournalError::kNone);
   EXPECT_GE(store.stats().restore_fallbacks, 1u);
@@ -698,7 +841,8 @@ TEST_F(DurableStoreTest, ReplayMismatchFallsBackTyped) {
   // must refuse (strict point ops), not silently produce drift.
   store.record(JournalRecord::make_delete({0, 60}, 55));
   store.commit();
-  EXPECT_EQ(store.restore(world.graph).error, RestoreError::kReplayFailed);
+  EXPECT_EQ(store.restore(world.graph, *world.hierarchy).error,
+            RestoreError::kReplayFailed);
 }
 
 TEST_F(DurableStoreTest, StatsExportToRegistryAndPrometheus) {
@@ -748,7 +892,8 @@ TEST_F(DurableStoreTest, DistributedMotRestoreParity) {
   }
   store.commit();
 
-  const DurableStore::RestoreResult restored = store.restore(world.graph);
+  const DurableStore::RestoreResult restored =
+      store.restore(world.graph, *world.hierarchy);
   ASSERT_EQ(restored.error, RestoreError::kNone);
   EXPECT_EQ(restored.image, dist.export_durable_image());
 
